@@ -71,14 +71,8 @@ let with_write_limit t wl =
 let with_free_behind t fb =
   { t with features = { t.features with Ufs.Types.free_behind = fb } }
 
-let with_track_buffer t tb =
-  { t with disk = { t.disk with Disk.Device.track_buffer = tb } }
-
 let with_driver_clustering t dc =
   { t with disk = { t.disk with Disk.Device.driver_clustering = dc } }
-
-let with_queue_policy t p =
-  { t with disk = { t.disk with Disk.Device.policy = p } }
 
 let with_vol t ?(layout = Vol.Stripe) ?(stripe_kb = 128) disks =
   if disks < 1 then invalid_arg "Config.with_vol: disks must be >= 1";

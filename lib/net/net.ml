@@ -180,7 +180,6 @@ let a_end t = t.a_ep
 let b_end t = t.b_ep
 
 let stats t = t.a.st
-let dir_stats t = (t.a.out.dst, t.b.out.dst)
 
 let register_metrics t reg ~instance =
   let s = t.a.st in

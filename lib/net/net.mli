@@ -90,10 +90,6 @@ type stats = {
 val stats : 'a t -> stats
 (** Both directions combined. *)
 
-val dir_stats : 'a t -> stats * stats
-(** [(a_to_b, b_to_a)]: each direction separately, so asymmetric loss
-    and server-side reply queuing are visible rather than averaged away
-    in the combined record. *)
 
 val register_metrics : 'a t -> Sim.Metrics.t -> instance:string -> unit
 (** Register the link's counters and wire-wait summaries as a ["net"]

@@ -596,6 +596,27 @@ let flush_gather t f =
     enqueue t (Push (f, off, !cleaned * bsize, data, !pages))
   end
 
+(* The cached page a write into block [po] lands on.  Like
+   [ensure_resident], it looks the page up again after every wait: a
+   fill that finds its block past the server's EOF drops the page, and
+   writing into that detached page would lose the data. *)
+let rec writable_page t f ~po ~partial ~fetched =
+  match Hashtbl.find_opt f.pages po with
+  | Some p when p.pvalid -> p
+  | Some p when p.pbusy ->
+      (* a fill is in flight; wait it out rather than racing it *)
+      charged t "rpc.wait" (fun () -> Sim.Condition.wait p.pcond);
+      writable_page t f ~po ~partial ~fetched
+  | _ when partial && po < f.fsize && not fetched ->
+      (* read-modify-write of a block the server already has *)
+      fetch_range t f ~off:po ~len:bsize ~prefetched:false;
+      writable_page t f ~po ~partial ~fetched:true
+  | _ ->
+      let p = insert_page t f po in
+      Bytes.fill p.pdata 0 bsize '\000';
+      p.pvalid <- true;
+      p
+
 let write_body f ~off ~buf ~len =
   let t = f.cl in
   t.st.write_calls <- t.st.write_calls + 1;
@@ -612,36 +633,8 @@ let write_body f ~off ~buf ~len =
       t.st.dirty_sleeps <- t.st.dirty_sleeps + 1;
       charged t "client.throttle" (fun () -> Sim.Condition.wait t.dirty_cond)
     done;
-    let page =
-      match Hashtbl.find_opt f.pages po with
-      | Some p when p.pvalid -> p
-      | Some p when p.pbusy ->
-          (* a fill is in flight; wait it out rather than racing it *)
-          charged t "rpc.wait" (fun () ->
-              while p.pbusy do
-                Sim.Condition.wait p.pcond
-              done);
-          p
-      | _ ->
-          let partial = not (!cur = po && n = bsize) in
-          if partial && po < f.fsize then begin
-            (* read-modify-write of a block the server already has *)
-            fetch_range t f ~off:po ~len:bsize ~prefetched:false;
-            match Hashtbl.find_opt f.pages po with
-            | Some p when p.pvalid -> p
-            | _ ->
-                let p = insert_page t f po in
-                Bytes.fill p.pdata 0 bsize '\000';
-                p.pvalid <- true;
-                p
-          end
-          else begin
-            let p = insert_page t f po in
-            Bytes.fill p.pdata 0 bsize '\000';
-            p.pvalid <- true;
-            p
-          end
-    in
+    let partial = not (!cur = po && n = bsize) in
+    let page = writable_page t f ~po ~partial ~fetched:false in
     if not page.pdirty then begin
       page.pdirty <- true;
       t.dirty_bytes <- t.dirty_bytes + bsize

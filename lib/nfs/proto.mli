@@ -5,7 +5,7 @@
     network is the data that lives in the server's UFS image, so
     content checks (the duplicate-apply property tests) are real.
 
-    [call_size]/[reply_size] give the wire size of each message: a
+    [call_size]/[msg_size] give the wire size of each message: a
     fixed RPC header plus the payload, which is what the {!Net} layer
     charges to the wire and to the sender's CPU. *)
 
@@ -66,11 +66,7 @@ type msg =
           trace on receipt.  Attribution metadata only — excluded from
           {!msg_size}, so wire timing is unchanged. *)
 
-val header_bytes : int
-(** Fixed per-message RPC/XDR framing overhead. *)
-
 val call_size : call -> int
-val reply_size : reply -> int
 val msg_size : msg -> int
 
 val op_name : call -> string

@@ -37,9 +37,7 @@ type cstate = {
   win_cond : Sim.Condition.t;
 }
 
-let make_cstate engine ?(timeout = Sim.Time.of_ms_float 1100.)
-    ?(max_timeout = Sim.Time.sec 20) ?(min_rto = Sim.Time.ms 200)
-    ?(cwnd_limit = 8.) ?(name = "rpc.win") () =
+let make_cstate engine ~timeout ~max_timeout ~min_rto ~cwnd_limit ~name =
   {
     cs_timeout = timeout;
     cs_max_timeout = max_timeout;
@@ -80,7 +78,6 @@ let create engine ~cpu ~ep ~client_id ?(transport = Fixed)
     | None ->
         make_cstate engine ~timeout ~max_timeout ~min_rto ~cwnd_limit
           ~name:(Printf.sprintf "rpc.win.%d" client_id)
-          ()
   in
   let t =
     {

@@ -17,19 +17,18 @@ let find c phase = match List.assoc_opt phase c.entries with Some t -> t | None 
 let total c = List.fold_left (fun acc (_, t) -> acc + t) 0 c.entries
 let merge_into ~dst src = List.iter (fun (p, t) -> charge dst p t) src.entries
 
-type _ Effect.t +=
-  | Get_clock : clock option Effect.t
-  | Set_clock : clock option -> unit Effect.t
+(* The running process's clock: [Engine.spawn] loads it from the
+   process's own slots on entry and saves and clears it on suspend, so
+   outside any process it reads [None] and attribution is off. *)
+let cell : clock option ref = ref None
 
-(* Outside a spawned process nothing handles these effects; attribution
-   is then simply off rather than an error. *)
-let current () = try Effect.perform Get_clock with Effect.Unhandled _ -> None
-let set c = try Effect.perform (Set_clock c) with Effect.Unhandled _ -> ()
+let current () = !cell
+let set c = if !Fls.in_process then cell := c
 
 let charge_current phase d =
   if d > 0 then match current () with Some c -> charge c phase d | None -> ()
 
 let with_clock c f =
-  let prev = current () in
+  let prev = !cell in
   set (Some c);
   Fun.protect ~finally:(fun () -> set prev) f

@@ -10,11 +10,14 @@
     when it waits on an in-flight page.
 
     "Current" is per-{e process} (fiber), not global: the engine keeps
-    one clock slot per spawned process, so two concurrent benchmark
-    jobs each see only their own waits.  Processes the operation never
+    one clock slot per spawned process and loads it into a current-value
+    cell only while that process runs, so two concurrent benchmark jobs
+    each see only their own waits.  Processes the operation never
     blocks in (biods, nfsds working on someone else's call) charge
     their own clocks or none at all.  Outside any simulated process
-    there is no clock and charging is a no-op.
+    there is no clock and charging is a no-op: {!with_clock} there runs
+    its callback without installing the clock, so a clock installed
+    around [Engine.run] is seen by nothing the run dispatches.
 
     Charging is pure bookkeeping — it never schedules events, sleeps or
     otherwise perturbs the simulation, so instrumented and
@@ -49,14 +52,12 @@ val charge_current : string -> Time.t -> unit
 
 val with_clock : clock -> (unit -> 'a) -> 'a
 (** Install a clock for the extent of the callback (restoring the
-    previous one on exit, including on exceptions).  Must be called
-    inside a simulated process for the installation to stick; outside
-    one it just runs the callback. *)
+    previous one on exit, including on exceptions).  Inside a simulated
+    process the slot keeps the clock across suspensions; outside one the
+    callback runs with no clock installed. *)
 
 (**/**)
 
-(** Effects the engine's process handler interprets; not for direct
-    use. *)
-type _ Effect.t +=
-  | Get_clock : clock option Effect.t
-  | Set_clock : clock option -> unit Effect.t
+val cell : clock option ref
+(** The running process's clock; {!Engine.spawn} loads and saves it.
+    Not for direct use. *)

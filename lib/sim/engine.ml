@@ -104,12 +104,8 @@ type t = {
   mutable heap_max : int;
   mutable cancellations : int;
   mutable spawned : int;
-  (* per-effect dispatch counters: how often each effect class crosses
-     the handler — the effect-handler half of the hot path *)
+  (* how often a process parks: the effect-handler half of the hot path *)
   mutable eff_suspends : int;
-  mutable eff_attrib : int;
-  mutable eff_span : int;
-  mutable eff_fls : int;
 }
 
 exception Deadlock of string
@@ -127,9 +123,6 @@ let create () =
     cancellations = 0;
     spawned = 0;
     eff_suspends = 0;
-    eff_attrib = 0;
-    eff_span = 0;
-    eff_fls = 0;
   }
 
 let now t = t.now
@@ -165,25 +158,59 @@ let cancel h =
 
 let cancelled h = h.cb = None
 
-(* Run [f] as a process: effects performed by [f] are interpreted here.
-   A [Suspend register] effect hands the continuation, wrapped as a
-   plain thunk, to [register]; resuming the thunk re-enters the handler.
-   Each process also owns one attribution-clock slot ([Attrib]), one
-   current-span slot ([Span]) and one fiber-local value slot ([Fls]):
-   the handler closure holds them, so they survive suspensions and are
-   invisible to every other process. *)
+(* A process's fiber-local slots: its attribution clock ([Attrib]),
+   current span ([Span]) and value slot ([Fls]).  The engine runs one
+   process at a time, so while a process runs its slots live in those
+   modules' current-value cells, where every read is a plain load; while
+   it is parked they live here. *)
+type slots = {
+  mutable clock : Attrib.clock option;
+  mutable span : Span.t option;
+  mutable fls : int option;
+}
+
+(* Most processes never install a slot, so each copy skips the store
+   (and its write barrier) when the value is already in place: parking
+   and resuming such a process costs a few loads. *)
+let[@inline] put r v = if !r != v then r := v
+
+let enter s =
+  Fls.in_process := true;
+  put Attrib.cell s.clock;
+  put Span.cell s.span;
+  put Fls.cell s.fls
+
+let clear () =
+  Fls.in_process := false;
+  put Attrib.cell None;
+  put Span.cell None;
+  put Fls.cell None
+
+let leave s =
+  if s.clock != !Attrib.cell then s.clock <- !Attrib.cell;
+  if s.span != !Span.cell then s.span <- !Span.cell;
+  if s.fls != !Fls.cell then s.fls <- !Fls.cell;
+  clear ()
+
+(* Run [f] as a process: a [Suspend register] effect performed by [f]
+   hands the continuation, wrapped as a plain thunk, to [register];
+   resuming the thunk re-enters the handler.  The process's slots are
+   entered before it starts or continues and left (saved, then the
+   cells cleared) when it parks or ends, so [register], scheduled
+   callbacks and setup code all read [None] (their slot writes are
+   dropped: [Fls.in_process] is false there). *)
 let spawn t ?name f =
   let name = Option.value name ~default:"process" in
   t.spawned <- t.spawned + 1;
-  let clock : Attrib.clock option ref = ref None in
-  let span : Span.t option ref = ref None in
-  let fls : int option ref = ref None in
+  let s = { clock = None; span = None; fls = None } in
   let body () =
+    enter s;
     match_with f ()
       {
-        retc = (fun () -> ());
+        retc = clear;
         exnc =
           (fun e ->
+            clear ();
             raise
               (Failure
                  (Printf.sprintf "process %s died: %s" name (Printexc.to_string e))));
@@ -193,6 +220,7 @@ let spawn t ?name f =
             | Suspend register ->
                 Some
                   (fun (k : (a, _) continuation) ->
+                    leave s;
                     t.eff_suspends <- t.eff_suspends + 1;
                     t.blocked <- t.blocked + 1;
                     let resumed = ref false in
@@ -201,42 +229,11 @@ let spawn t ?name f =
                         invalid_arg "Engine: process resumed twice";
                       resumed := true;
                       t.blocked <- t.blocked - 1;
-                      schedule t (fun () -> continue k ())
+                      schedule t (fun () ->
+                          enter s;
+                          continue k ())
                     in
                     register resume)
-            | Attrib.Get_clock ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_attrib <- t.eff_attrib + 1;
-                    continue k !clock)
-            | Attrib.Set_clock c ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_attrib <- t.eff_attrib + 1;
-                    clock := c;
-                    continue k ())
-            | Span.Get_span ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_span <- t.eff_span + 1;
-                    continue k !span)
-            | Span.Set_span s ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_span <- t.eff_span + 1;
-                    span := s;
-                    continue k ())
-            | Fls.Get_slot ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_fls <- t.eff_fls + 1;
-                    continue k !fls)
-            | Fls.Set_slot v ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_fls <- t.eff_fls + 1;
-                    fls := v;
-                    continue k ())
             | _ -> None);
       }
   in
@@ -296,9 +293,9 @@ let heap_max_depth t = t.heap_max
 let cancellations t = t.cancellations
 let processes_spawned t = t.spawned
 let effect_suspends t = t.eff_suspends
-let effect_attrib_ops t = t.eff_attrib
-let effect_span_ops t = t.eff_span
-let effect_fls_ops t = t.eff_fls
+let effect_attrib_ops _ = 0
+let effect_span_ops _ = 0
+let effect_fls_ops _ = 0
 
 let register_metrics t reg ~instance =
   Metrics.register reg ~layer:"sim.engine" ~instance (fun () ->
@@ -309,8 +306,5 @@ let register_metrics t reg ~instance =
         ("cancellations", Metrics.Int t.cancellations);
         ("processes_spawned", Metrics.Int t.spawned);
         ("eff_suspends", Metrics.Int t.eff_suspends);
-        ("eff_attrib_ops", Metrics.Int t.eff_attrib);
-        ("eff_span_ops", Metrics.Int t.eff_span);
-        ("eff_fls_ops", Metrics.Int t.eff_fls);
         ("now_us", Metrics.Int t.now);
       ])

@@ -25,7 +25,10 @@ val now : t -> Time.t
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] schedules process [f] to start at the current virtual
     time.  Exceptions escaping [f] abort the whole simulation run (they
-    propagate out of {!run}).  [name] is used in error messages. *)
+    propagate out of {!run}).  [name] is used in error messages.  The
+    process owns private {!Attrib}, {!Span} and {!Fls} slots: they are
+    current only while it runs, survive its suspensions, and read
+    [None] everywhere else. *)
 
 val sleep : t -> Time.t -> unit
 (** Advance virtual time by the given duration.  Must be called from
@@ -96,13 +99,14 @@ val effect_suspends : t -> int
     condition wait). *)
 
 val effect_attrib_ops : t -> int
-(** Attribution-clock slot gets/sets handled. *)
-
 val effect_span_ops : t -> int
-(** Current-span slot gets/sets handled. *)
 
 val effect_fls_ops : t -> int
-(** Fiber-local slot gets/sets handled. *)
+(** These three always return 0: the fiber-local slots ([Attrib],
+    [Span], [Fls]) are per-process fields, not effects, so no slot
+    access crosses the handler and {!effect_suspends} counts every
+    effect.  They exist only because [perfbench/layers.ml] adds them
+    into its [sim.effects_per_op] figure. *)
 
 val register_metrics : t -> Metrics.t -> instance:string -> unit
 (** Register a ["sim.engine"] metrics source over the counters above. *)

@@ -1,12 +1,15 @@
-type _ Effect.t +=
-  | Get_slot : int option Effect.t
-  | Set_slot : int option -> unit Effect.t
+(* Loaded and saved by [Engine.spawn] like [Attrib.cell]: outside any
+   process it reads [None], so code paths shared with setup code (mkfs,
+   mount) need no special casing. *)
+let cell : int option ref = ref None
 
-(* Outside a spawned process nothing handles these effects; the slot
-   then reads as empty rather than erroring, so code paths shared with
-   setup code (mkfs, mount) need no special casing. *)
-let get () = try Effect.perform Get_slot with Effect.Unhandled _ -> None
-let set v = try Effect.perform (Set_slot v) with Effect.Unhandled _ -> ()
+(* True exactly while a process runs.  Slot writes made outside one are
+   dropped, here and in [Attrib] and [Span], so such code always reads
+   [None]. *)
+let in_process = ref false
+
+let get () = !cell
+let set v = if !in_process then cell := v
 
 let with_value v f =
   let prev = get () in

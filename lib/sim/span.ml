@@ -75,21 +75,21 @@ let with_recorder r f =
 
 let enable r v = r.on <- v
 
-(* The disabled fast path is this one read of a global ref: no effect
-   is performed, nothing is allocated. *)
+(* The disabled fast path is this one read of a global ref: the current
+   span is never touched, nothing is allocated. *)
 let active () =
   match !ambient with Some r when r.on -> Some r | _ -> None
 
 let enabled () = active () <> None
 
-type _ Effect.t +=
-  | Get_span : t option Effect.t
-  | Set_span : t option -> unit Effect.t
+(* Loaded and saved by [Engine.spawn] like [Attrib.cell]: outside any
+   process there is no current span and tracing is off for that code. *)
+let cell : t option ref = ref None
 
-(* Outside a spawned process nothing handles these effects; tracing is
-   then simply off for that code, not an error. *)
-let current () = try Effect.perform Get_span with Effect.Unhandled _ -> None
-let set sp = try Effect.perform (Set_span sp) with Effect.Unhandled _ -> ()
+let current () = !cell
+
+(* Outside a process the write is dropped, as in [Fls.set]. *)
+let set_current v = if !Fls.in_process then cell := v
 
 let fresh_id r =
   r.next_id <- r.next_id + 1;
@@ -163,11 +163,11 @@ let root ~name ~track ?(attrs = []) ?(sample = true) f =
       let sp =
         mk r ~trace:0 ~parent:0 ~name ~track ~attrs ~start_us:(r.clock ())
       in
-      let prev = current () in
-      set (Some sp);
+      let prev = !cell in
+      set_current (Some sp);
       Fun.protect
         ~finally:(fun () ->
-          set prev;
+          set_current prev;
           close r sp;
           complete_root r ~sample sp)
         f
@@ -185,10 +185,10 @@ let span ~name ?track ?(attrs = []) f =
               ~attrs ~start_us:(r.clock ())
           in
           parent.kids <- sp :: parent.kids;
-          set (Some sp);
+          set_current (Some sp);
           Fun.protect
             ~finally:(fun () ->
-              set (Some parent);
+              set_current (Some parent);
               close r sp)
             f)
 
@@ -233,12 +233,12 @@ let subtree c ~name ~track ?(attrs = []) ?start_us f =
   | Some r ->
       let start_us = Option.value start_us ~default:(r.clock ()) in
       let sp = mk r ~trace:c.trace ~parent:c.parent ~name ~track ~attrs ~start_us in
-      let prev = current () in
-      set (Some sp);
+      let prev = !cell in
+      set_current (Some sp);
       let result =
         Fun.protect
           ~finally:(fun () ->
-            set prev;
+            set_current prev;
             close r sp)
           f
       in

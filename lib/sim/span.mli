@@ -9,19 +9,22 @@
     in simulated time, and typed attributes.
 
     The current span travels fiber-locally exactly like the attribution
-    clock: {!Get_span}/{!Set_span} effects handled by a per-process slot
-    in {!Engine.spawn}, so it survives suspensions and never leaks
-    between processes.  Crossing the RPC wire, a caller ships its
-    {!ctx} (trace id + parent span id) as call metadata; the server
-    builds a detached {!subtree} under that ctx and ships the finished
-    tree back in the reply, where {!graft} reattaches it under the
-    caller's RPC span — the client's span then {e brackets} the
-    server-side subtree in one tree.
+    clock: it is a field of the per-process slots {!Engine.spawn} keeps,
+    loaded into a current-value cell while the process runs, so it
+    survives suspensions and never leaks between processes.  Outside a
+    process there is no current span: {!root} and {!subtree} called
+    there still build and record their span but do not make it current,
+    so nothing [f] dispatches (an [Engine.run], say) attaches to it.  Crossing
+    the RPC wire, a caller ships its {!ctx} (trace id + parent span id)
+    as call metadata; the server builds a detached {!subtree} under that
+    ctx and ships the finished tree back in the reply, where {!graft}
+    reattaches it under the caller's RPC span — the client's span then
+    {e brackets} the server-side subtree in one tree.
 
     Tracing is pure bookkeeping: with no recorder installed (the
-    default) every entry point is a passthrough that performs no
-    effects, allocates nothing, and schedules nothing, so simulated
-    timing is byte-identical with tracing on or off.
+    default) every entry point is a passthrough that reads no span,
+    allocates nothing, and schedules nothing, so simulated timing is
+    byte-identical with tracing on or off.
 
     Two consumers: a bounded ring log of finished trees exported as
     Chrome trace-event JSON ({!to_chrome}, loadable in Perfetto), and a
@@ -90,13 +93,8 @@ val enable : recorder -> bool -> unit
 
 (** {1 Fiber-local current span} *)
 
-type _ Effect.t +=
-  | Get_span : t option Effect.t
-  | Set_span : t option -> unit Effect.t
-        (** Handled by {!Engine.spawn}'s per-process slot.  Outside a
-            spawned process they fall back to "no current span". *)
-
 val current : unit -> t option
+(** The calling process's current span; [None] outside a process. *)
 
 (** {1 Instrumentation} *)
 
@@ -193,3 +191,9 @@ val render_slowest : ?limit:int -> recorder -> string
 val register_metrics : recorder -> Metrics.t -> instance:string -> unit
 (** Register a ["sim.span"] source: roots/spans recorded, ring length
     and drops, sampler retained/drops. *)
+
+(**/**)
+
+val cell : t option ref
+(** The running process's current span; {!Engine.spawn} loads and saves
+    it.  Not for direct use. *)

@@ -198,11 +198,4 @@ let sync t =
     Sim.Condition.wait t.ordered_done
   done
 
-let drop_clean t =
-  Sim.Mutex.with_lock t.lock (fun () ->
-      let clean =
-        Hashtbl.fold (fun k e acc -> if e.dirty then acc else k :: acc) t.tbl []
-      in
-      List.iter (Hashtbl.remove t.tbl) clean)
-
 let stats t = t.stats

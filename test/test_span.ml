@@ -231,16 +231,12 @@ let test_engine_counters () =
   check_int "one process" 1 (Sim.Engine.processes_spawned e);
   (* the two sleeps crossed the Suspend handler twice *)
   check_int "suspend effects counted" 2 (Sim.Engine.effect_suspends e);
-  (* span effects cross the handler only when a recorder is live *)
-  check_int "no span effects without a recorder" 0
-    (Sim.Engine.effect_span_ops e);
   let r = Span.create_recorder () in
   Span.with_recorder r (fun () ->
       Sim.Engine.spawn e (fun () ->
           Span.root ~name:"x" ~track:"t/x" (fun () -> Sim.Engine.sleep e 3));
       Sim.Engine.run e);
-  check_bool "span effects counted under a recorder" true
-    (Sim.Engine.effect_span_ops e > 0);
+  (* span slot use under a live recorder is not an effect *)
   check_int "suspends keep counting" 3 (Sim.Engine.effect_suspends e);
   let reg = Sim.Metrics.create () in
   Sim.Engine.register_metrics e reg ~instance:"t";
@@ -250,12 +246,110 @@ let test_engine_counters () =
     | _ -> Alcotest.failf "sim.engine metric %s missing" name
   in
   check_int "cancellations exported" 1 (geti "cancellations");
-  check_int "eff_suspends exported" 3 (geti "eff_suspends");
-  check_bool "eff_span_ops exported" true (geti "eff_span_ops" > 0);
-  check_int "eff_fls_ops exported" (Sim.Engine.effect_fls_ops e)
-    (geti "eff_fls_ops");
-  check_int "eff_attrib_ops exported" (Sim.Engine.effect_attrib_ops e)
-    (geti "eff_attrib_ops")
+  check_int "eff_suspends exported" 3 (geti "eff_suspends")
+
+(* ---------- fiber-local slots ---------- *)
+
+(* Two interleaved processes each install their own clock, span and
+   value slot, park, and must read back exactly their own; code that
+   runs outside any process — a scheduled callback, a [register]
+   function — sees no slot at all; and [with_clock]/[with_value]
+   restore the previous value when their callback raises. *)
+let test_slots_isolated () =
+  let e = Sim.Engine.create () in
+  let r = Span.create_recorder () in
+  Span.set_clock r (fun () -> Sim.Engine.now e);
+  let outside = ref [] in
+  let note what =
+    outside :=
+      (what, Sim.Attrib.current () = None && Span.current () = None
+             && Sim.Fls.get () = None)
+      :: !outside
+  in
+  let same a b = match (a, b) with Some x, Some y -> x == y | _ -> false in
+  let seen = ref [] in
+  let proc id =
+    let clk = Sim.Attrib.create () in
+    Span.root ~name:(Printf.sprintf "p%d" id) ~track:"t/p" (fun () ->
+        let mine = Span.current () in
+        Sim.Attrib.with_clock clk (fun () ->
+            Sim.Fls.with_value id (fun () ->
+                for step = 1 to 3 do
+                  Sim.Engine.schedule e (fun () -> note "scheduled callback");
+                  Sim.Engine.suspend e ~register:(fun resume ->
+                      note "register";
+                      Sim.Engine.schedule e ~delay:(id + step) resume);
+                  Sim.Attrib.charge_current "step" 1;
+                  seen :=
+                    ( id,
+                      Sim.Fls.get () = Some id
+                      && same (Sim.Attrib.current ()) (Some clk)
+                      && same (Span.current ()) mine )
+                    :: !seen
+                done)));
+    check_int (Printf.sprintf "p%d charged only its own clock" id) 3
+      (Sim.Attrib.find clk "step")
+  in
+  Span.with_recorder r (fun () ->
+      Sim.Engine.spawn e (fun () -> proc 1);
+      Sim.Engine.spawn e (fun () -> proc 2);
+      Sim.Engine.run e);
+  Sim.Engine.check_quiescent e;
+  check_int "every step checked" 6 (List.length !seen);
+  check_int "only the parks crossed the Suspend handler" 6
+    (Sim.Engine.effect_suspends e);
+  List.iter
+    (fun (id, ok) ->
+      check_bool (Printf.sprintf "p%d read back its own slots" id) true ok)
+    !seen;
+  check_int "callbacks and registers observed" 12 (List.length !outside);
+  List.iter (fun (what, none) -> check_bool (what ^ " reads None") true none)
+    !outside;
+  check_int "two roots, one per process" 2 (List.length (Span.roots r));
+  (* restore on exceptions, inside a process *)
+  let restored = ref false in
+  Sim.Engine.spawn e (fun () ->
+      let outer = Sim.Attrib.create () and inner = Sim.Attrib.create () in
+      Sim.Attrib.with_clock outer (fun () ->
+          Sim.Fls.with_value 7 (fun () ->
+              (try
+                 Sim.Attrib.with_clock inner (fun () ->
+                     Sim.Fls.with_value 8 (fun () ->
+                         Sim.Engine.sleep e 1;
+                         failwith "boom"))
+               with Failure _ -> ());
+              restored :=
+                same (Sim.Attrib.current ()) (Some outer)
+                && Sim.Fls.get () = Some 7)));
+  Sim.Engine.run e;
+  check_bool "previous clock and value restored after a raise" true !restored;
+  check_bool "nothing left installed after the run" true
+    (Sim.Attrib.current () = None && Span.current () = None
+     && Sim.Fls.get () = None);
+  (* slot writes outside any process are dropped: wrapped around
+     [Engine.run], a clock, span and value are seen neither by setup
+     code, nor by callbacks before or after a process runs, nor by the
+     process itself *)
+  let e = Sim.Engine.create () in
+  outside := [];
+  let in_proc = ref false in
+  Span.with_recorder r (fun () ->
+      Sim.Attrib.with_clock (Sim.Attrib.create ()) (fun () ->
+          Sim.Fls.with_value 9 (fun () ->
+              Span.root ~name:"setup" ~track:"t/s" (fun () ->
+                  note "setup code";
+                  Sim.Engine.schedule e (fun () -> note "callback before");
+                  Sim.Engine.spawn e (fun () ->
+                      in_proc :=
+                        Sim.Attrib.current () = None
+                        && Span.current () = None && Sim.Fls.get () = None);
+                  Sim.Engine.schedule e ~delay:1 (fun () ->
+                      note "callback after");
+                  Sim.Engine.run e))));
+  check_bool "a process starts with empty slots" true !in_proc;
+  check_int "setup and callbacks observed" 3 (List.length !outside);
+  List.iter (fun (what, none) -> check_bool (what ^ " reads None") true none)
+    !outside
 
 (* ---------- span metrics ---------- *)
 
@@ -349,6 +443,8 @@ let suites =
         Alcotest.test_case "disabled tracing is a passthrough" `Quick
           test_disabled_is_passthrough;
         Alcotest.test_case "engine counters count" `Quick test_engine_counters;
+        Alcotest.test_case "fiber-local slots stay per process" `Quick
+          test_slots_isolated;
         Alcotest.test_case "sim.span metrics exported" `Quick test_span_metrics;
         Alcotest.test_case "ring overflow counted, slow trees survive" `Quick
           test_ring_overflow_counted;
