@@ -47,7 +47,7 @@ let run_db (config : Clusterfs.Config.t) =
 
       (* ---- table scan (cold) ---- *)
       Vm.Pool.invalidate_vnode fs.Ufs.Types.pool table.Ufs.Types.inum;
-      Ufs.Types.reset_rstreams table;
+      Ufs.Rstream.reset table.Ufs.Types.rs;
       let t0 = now () in
       let buf = Bytes.create 8192 in
       for i = 0 to (table_mb * 128) - 1 do

@@ -35,7 +35,7 @@ let show label (meas : Workload.Extents.measurement) =
 let read_rate fs path =
   let ip = Ufs.Fs.namei fs path in
   Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
-  Ufs.Types.reset_rstreams ip;
+  Ufs.Rstream.reset ip.Ufs.Types.rs;
   let engine = fs.Ufs.Types.engine in
   let t0 = Sim.Engine.now engine in
   let buf = Bytes.create 8192 in

@@ -30,7 +30,7 @@ let () =
       (* read it back with a cold cache, so the clustered read-ahead
          machinery (not the page cache) serves the data *)
       Vm.Pool.invalidate_vnode fs.Ufs.Types.pool file.Ufs.Types.inum;
-      Ufs.Types.reset_rstreams file;
+      Ufs.Rstream.reset file.Ufs.Types.rs;
       let t0 = Sim.Engine.now m.Clusterfs.Machine.engine in
       let buf = Bytes.create 8192 in
       for i = 0 to (mb * 128) - 1 do

@@ -29,7 +29,7 @@ let measure config =
 
         (* drop the cache so the timed read hits the disks *)
         Vm.Pool.invalidate_vnode fs.Ufs.Types.pool file.Ufs.Types.inum;
-        Ufs.Types.reset_rstreams file;
+        Ufs.Rstream.reset file.Ufs.Types.rs;
 
         let t0 = Sim.Engine.now m.Clusterfs.Machine.engine in
         let buf = Bytes.create 8192 in

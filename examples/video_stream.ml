@@ -64,7 +64,7 @@ let record_and_play (config : Clusterfs.Config.t) =
       let record_time = Sim.Engine.now engine - t0 in
       (* playback: stream the recording back at full speed *)
       Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
-      Ufs.Types.reset_rstreams ip;
+      Ufs.Rstream.reset ip.Ufs.Types.rs;
       let t1 = Sim.Engine.now engine in
       let buf = Bytes.create frame_bytes in
       for i = 0 to !written - 1 do

@@ -591,7 +591,7 @@ let chill_file (fs : Ufs.Types.fs) (ip : Ufs.Types.inode) =
   Ufs.Putpage.push_delayed fs ip ~sync:true ();
   Ufs.Io.wait_writes fs ip;
   Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
-  Ufs.Types.reset_rstreams ip;
+  Ufs.Rstream.reset ip.Ufs.Types.rs;
   ip.Ufs.Types.bmap_cache <- None
 
 let vol_stripe_sweep ?(file_mb = 8) ?(disk_counts = [ 1; 2; 4 ])

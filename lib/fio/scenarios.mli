@@ -64,11 +64,6 @@ type gather_point = {
   elapsed : Sim.Time.t;
 }
 
-val register_gather : gather_point -> unit
-(** Register the point as a ["fio"]-layer metrics source (instance
-    ["write-gather.<n>c"]) into the current sink, if one is installed.
-    {!write_gather} already calls this. *)
-
 val write_gather : ?config:Clusterfs.Config.t -> clients:int -> unit -> gather_point
 (** The server-side write-gathering ablation: [clients] nodes each
     write one file sequentially (8 KB ops, 2 MB per job) through their

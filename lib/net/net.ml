@@ -67,6 +67,77 @@ let send ep ~size msg = ep.ep_send ~size msg
 let recv ep = ep.ep_recv ()
 let pending ep = ep.ep_pending ()
 
+(* Seeded fault injection for one message: a loss draw, then a spike
+   draw, both at send time and in send order, so a run is a pure
+   function of the seed and the traffic.  A lost message may still draw
+   a spike; it is counted, never felt. *)
+type fault = Clean | Spiked | Lost | Lost_spiked
+
+let draw_fault cfg rng =
+  let lost = cfg.loss > 0. && Sim.Rng.float rng 1.0 < cfg.loss in
+  let spiked =
+    cfg.spike_prob > 0. && Sim.Rng.float rng 1.0 < cfg.spike_prob
+  in
+  if lost then if spiked then Lost_spiked else Lost
+  else if spiked then Spiked
+  else Clean
+
+let lost = function Lost | Lost_spiked -> true | Clean | Spiked -> false
+let spiked = function Spiked | Lost_spiked -> true | Clean | Lost -> false
+
+(* the extra transit time a fault adds to a delivered message *)
+let spike_delay cfg = function
+  | Spiked -> cfg.spike
+  | Clean | Lost | Lost_spiked -> Sim.Time.zero
+
+(* ---------- per-source inboxes ---------- *)
+
+(* A Medium station or a Switch port demultiplexes what it receives by
+   source: one FIFO and one condition per peer, made on first use. *)
+type 'a inbox = { q : 'a Queue.t; ib_cond : Sim.Condition.t }
+
+type 'a inboxes = {
+  ib_engine : Sim.Engine.t;
+  ib_name : string;  (** condition-name prefix: the receiver's name *)
+  by_src : (int, 'a inbox) Hashtbl.t;
+}
+
+let mk_inboxes engine name =
+  { ib_engine = engine; ib_name = name; by_src = Hashtbl.create 4 }
+
+let inbox_of ibs ~src =
+  match Hashtbl.find_opt ibs.by_src src with
+  | Some ib -> ib
+  | None ->
+      let ib =
+        {
+          q = Queue.create ();
+          ib_cond =
+            Sim.Condition.create ibs.ib_engine
+              (Printf.sprintf "%s<-%d" ibs.ib_name src);
+        }
+      in
+      Hashtbl.replace ibs.by_src src ib;
+      ib
+
+let rec recv_from ibs ~src =
+  let ib = inbox_of ibs ~src in
+  if Queue.is_empty ib.q then begin
+    Sim.Condition.wait ib.ib_cond;
+    recv_from ibs ~src
+  end
+  else Queue.pop ib.q
+
+(* The receiver's channel to [peer]: [send] addresses [peer], receives
+   read only what [peer] sent. *)
+let inbox_endpoint ibs ~peer ~send =
+  let ib = inbox_of ibs ~src:peer in
+  {
+    ep_send = send;
+    ep_recv = (fun () -> recv_from ibs ~src:peer);
+    ep_pending = (fun () -> Queue.length ib.q);
+  }
+
 (* ---------- point-to-point duplex links ---------- *)
 
 (* One direction of the wire: its own serialization point, FIFO arrival
@@ -121,24 +192,17 @@ let p2p_send ep ~size msg =
   dir.dst.bytes_sent <- dir.dst.bytes_sent + size;
   Sim.Stats.Summary.add ep.st.wire_wait_us (float_of_int wire_wait);
   Sim.Stats.Summary.add dir.dst.wire_wait_us (float_of_int wire_wait);
-  (* fault injection: the draws happen at send time, in send order, so
-     a run is a pure function of the link seed and the traffic *)
-  let dropped = cfg.loss > 0. && Sim.Rng.float ep.rng 1.0 < cfg.loss in
-  let spiked =
-    cfg.spike_prob > 0. && Sim.Rng.float ep.rng 1.0 < cfg.spike_prob
-  in
-  if spiked then begin
+  let fault = draw_fault cfg ep.rng in
+  if spiked fault then begin
     ep.st.spikes <- ep.st.spikes + 1;
     dir.dst.spikes <- dir.dst.spikes + 1
   end;
-  if dropped then begin
+  if lost fault then begin
     ep.st.drops <- ep.st.drops + 1;
     dir.dst.drops <- dir.dst.drops + 1
   end
   else begin
-    let arrival =
-      dir.free_at + cfg.latency + (if spiked then cfg.spike else Sim.Time.zero)
-    in
+    let arrival = dir.free_at + cfg.latency + spike_delay cfg fault in
     (* FIFO delivery: a spike on one message holds every later one
        behind it *)
     let arrival = max arrival dir.last_arrival in
@@ -228,8 +292,6 @@ module Medium = struct
     enq_at : Sim.Time.t;
   }
 
-  type 'a inbox = { q : 'a Queue.t; ib_cond : Sim.Condition.t }
-
   type 'a t = {
     m_engine : Sim.Engine.t;
     m_cfg : config;
@@ -251,8 +313,7 @@ module Medium = struct
     outq : 'a frame Queue.t;
     mutable pumping : bool;
     mutable backoff_exp : int;
-    inboxes : (int, 'a inbox) Hashtbl.t;  (** keyed by source station *)
-    s_queue_wait_us : Sim.Stats.Summary.t;
+    inboxes : 'a inboxes;  (** keyed by source station *)
   }
 
   let create ?(seed = 0) ?(name = "ether") ?(slot = Sim.Time.us 51)
@@ -293,8 +354,9 @@ module Medium = struct
         outq = Queue.create ();
         pumping = false;
         backoff_exp = 0;
-        inboxes = Hashtbl.create 4;
-        s_queue_wait_us = Sim.Stats.Summary.create ();
+        inboxes =
+          mk_inboxes t.m_engine
+            (Printf.sprintf "%s.s%d" t.m_name t.nstations);
       }
     in
     Hashtbl.replace t.stations s.sid s;
@@ -302,21 +364,6 @@ module Medium = struct
     s
 
   let station_id s = s.sid
-
-  let inbox_of s ~src =
-    match Hashtbl.find_opt s.inboxes src with
-    | Some ib -> ib
-    | None ->
-        let ib =
-          {
-            q = Queue.create ();
-            ib_cond =
-              Sim.Condition.create s.med.m_engine
-                (Printf.sprintf "%s.s%d<-%d" s.med.m_name s.sid src);
-          }
-        in
-        Hashtbl.replace s.inboxes src ib;
-        ib
 
   (* The station's transmit pump.  One event chain per backlogged
      station: sense the wire; if busy, defer a seeded jittered backoff
@@ -342,7 +389,6 @@ module Medium = struct
       let fr = Queue.pop s.outq in
       let wait = now - fr.enq_at in
       Sim.Stats.Summary.add m.m_st.m_queue_wait_us (float_of_int wait);
-      Sim.Stats.Summary.add s.s_queue_wait_us (float_of_int wait);
       s.backoff_exp <- 0;
       let xmit = xmit_time m.m_cfg ~size:fr.fsize in
       m.wire_free_at <- now + xmit;
@@ -350,17 +396,11 @@ module Medium = struct
       m.m_st.frames_sent <- m.m_st.frames_sent + 1;
       m.m_st.m_bytes_sent <- m.m_st.m_bytes_sent + fr.fsize;
       let cfg = m.m_cfg in
-      let dropped = cfg.loss > 0. && Sim.Rng.float m.m_rng 1.0 < cfg.loss in
-      let spiked =
-        cfg.spike_prob > 0. && Sim.Rng.float m.m_rng 1.0 < cfg.spike_prob
-      in
-      if spiked then m.m_st.m_spikes <- m.m_st.m_spikes + 1;
-      if dropped then m.m_st.m_drops <- m.m_st.m_drops + 1
+      let fault = draw_fault cfg m.m_rng in
+      if spiked fault then m.m_st.m_spikes <- m.m_st.m_spikes + 1;
+      if lost fault then m.m_st.m_drops <- m.m_st.m_drops + 1
       else begin
-        let arrival =
-          m.wire_free_at + cfg.latency
-          + (if spiked then cfg.spike else Sim.Time.zero)
-        in
+        let arrival = m.wire_free_at + cfg.latency + spike_delay cfg fault in
         (* one serial wire: everything bound for a station arrives in
            transmission order, spikes push later frames behind them *)
         let floor =
@@ -374,7 +414,7 @@ module Medium = struct
             match Hashtbl.find_opt m.stations fr.f_dst with
             | None -> ()  (* no such station: the bits fall on the floor *)
             | Some dst ->
-                let ib = inbox_of dst ~src:fr.src in
+                let ib = inbox_of dst.inboxes ~src:fr.src in
                 Queue.push fr.payload ib.q;
                 m.m_st.frames_delivered <- m.m_st.frames_delivered + 1;
                 Sim.Stats.Summary.add m.m_st.m_transit_us
@@ -402,24 +442,11 @@ module Medium = struct
       try_transmit s ()
     end
 
-  let rec recv_from s ~src =
-    let ib = inbox_of s ~src in
-    if Queue.is_empty ib.q then begin
-      Sim.Condition.wait ib.ib_cond;
-      recv_from s ~src
-    end
-    else Queue.pop ib.q
-
   let endpoint s ~peer =
-    let ib = inbox_of s ~src:peer in
-    {
-      ep_send = (fun ~size msg -> send_to s ~dst:peer ~size msg);
-      ep_recv = (fun () -> recv_from s ~src:peer);
-      ep_pending = (fun () -> Queue.length ib.q);
-    }
+    inbox_endpoint s.inboxes ~peer ~send:(fun ~size msg ->
+        send_to s ~dst:peer ~size msg)
 
   let stats t = t.m_st
-  let station_queue_wait s = s.s_queue_wait_us
 
   let utilization t =
     let now = Sim.Engine.now t.m_engine in
@@ -481,8 +508,6 @@ module Switch = struct
     mutable sw_at : Sim.Time.t;  (** accepted into the output buffer *)
   }
 
-  type 'a inbox = { q : 'a Queue.t; ib_cond : Sim.Condition.t }
-
   type 'a t = {
     sw_engine : Sim.Engine.t;
     sw_cfg : config;
@@ -507,7 +532,7 @@ module Switch = struct
     mutable occupancy : int;
     mutable down_busy : bool;
     pst : p_stats;
-    inboxes : (int, 'a inbox) Hashtbl.t;  (** keyed by source port *)
+    inboxes : 'a inboxes;  (** keyed by source port *)
   }
 
   let create ?(seed = 0) ?(name = "switch") ?(buffer = 64) engine cfg =
@@ -559,7 +584,8 @@ module Switch = struct
             p_occ_hwm = 0;
             p_queue_wait_us = Sim.Stats.Summary.create ();
           };
-        inboxes = Hashtbl.create 4;
+        inboxes =
+          mk_inboxes t.sw_engine (Printf.sprintf "%s.p%d" t.sw_name t.nports);
       }
     in
     Hashtbl.replace t.ports p.pid p;
@@ -567,21 +593,6 @@ module Switch = struct
     p
 
   let port_id p = p.pid
-
-  let inbox_of p ~src =
-    match Hashtbl.find_opt p.inboxes src with
-    | Some ib -> ib
-    | None ->
-        let ib =
-          {
-            q = Queue.create ();
-            ib_cond =
-              Sim.Condition.create p.sw.sw_engine
-                (Printf.sprintf "%s.p%d<-%d" p.sw.sw_name p.pid src);
-          }
-        in
-        Hashtbl.replace p.inboxes src ib;
-        ib
 
   (* The output-port pump: transmit the head frame over the private
      downlink, release the buffer slot when the wire falls silent, and
@@ -604,7 +615,7 @@ module Switch = struct
         Sim.Engine.schedule m.sw_engine ~delay:xmit (fun () ->
             p.occupancy <- p.occupancy - 1;
             Sim.Engine.schedule m.sw_engine ~delay:m.sw_cfg.latency (fun () ->
-                let ib = inbox_of p ~src:fr.src in
+                let ib = inbox_of p.inboxes ~src:fr.src in
                 Queue.push fr.payload ib.q;
                 m.sw_st.frames_delivered <- m.sw_st.frames_delivered + 1;
                 Sim.Stats.Summary.add m.sw_st.sw_transit_us
@@ -653,22 +664,14 @@ module Switch = struct
     p.pst.up_busy_us <- p.pst.up_busy_us + xmit;
     m.sw_st.frames_sent <- m.sw_st.frames_sent + 1;
     m.sw_st.sw_bytes_sent <- m.sw_st.sw_bytes_sent + size;
-    (* fault injection draws happen at send time, in send order: a run
-       is a pure function of the switch seed and the traffic *)
-    let dropped = cfg.loss > 0. && Sim.Rng.float m.sw_rng 1.0 < cfg.loss in
-    let spiked =
-      cfg.spike_prob > 0. && Sim.Rng.float m.sw_rng 1.0 < cfg.spike_prob
-    in
-    if spiked then m.sw_st.sw_spikes <- m.sw_st.sw_spikes + 1;
-    if dropped then begin
+    let fault = draw_fault cfg m.sw_rng in
+    if spiked fault then m.sw_st.sw_spikes <- m.sw_st.sw_spikes + 1;
+    if lost fault then begin
       m.sw_st.sw_drops <- m.sw_st.sw_drops + 1;
       p.pst.p_drops <- p.pst.p_drops + 1
     end
     else begin
-      let arrival =
-        p.up_free_at + cfg.latency
-        + (if spiked then cfg.spike else Sim.Time.zero)
-      in
+      let arrival = p.up_free_at + cfg.latency + spike_delay cfg fault in
       (* FIFO per uplink: a spike holds later frames behind it *)
       let arrival = max arrival p.up_last_arrival in
       p.up_last_arrival <- arrival;
@@ -680,21 +683,9 @@ module Switch = struct
           accept m fr)
     end
 
-  let rec recv_from p ~src =
-    let ib = inbox_of p ~src in
-    if Queue.is_empty ib.q then begin
-      Sim.Condition.wait ib.ib_cond;
-      recv_from p ~src
-    end
-    else Queue.pop ib.q
-
   let endpoint p ~peer =
-    let ib = inbox_of p ~src:peer in
-    {
-      ep_send = (fun ~size msg -> send_to p ~dst:peer ~size msg);
-      ep_recv = (fun () -> recv_from p ~src:peer);
-      ep_pending = (fun () -> Queue.length ib.q);
-    }
+    inbox_endpoint p.inboxes ~peer ~send:(fun ~size msg ->
+        send_to p ~dst:peer ~size msg)
 
   let stats t = t.sw_st
   let port_stats p = p.pst

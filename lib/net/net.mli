@@ -118,7 +118,7 @@ val register_metrics : 'a t -> Sim.Metrics.t -> instance:string -> unit
 
     The medium exports what a shared wire makes scarce: utilization
     (busy time over elapsed time), contention/backoff events, and the
-    station queue-wait distribution. *)
+    queue-wait distribution. *)
 module Medium : sig
   type 'a t
   (** One shared wire. *)
@@ -161,9 +161,6 @@ module Medium : sig
   }
 
   val stats : 'a t -> m_stats
-
-  val station_queue_wait : 'a station -> Sim.Stats.Summary.t
-  (** One station's enqueue -> wire-grant summary. *)
 
   val utilization : 'a t -> float
   (** Wire busy time over elapsed simulation time, [0, 1]. *)
@@ -247,9 +244,6 @@ module Switch : sig
 
   val stats : 'a t -> sw_stats
   val port_stats : 'a port -> p_stats
-
-  val port_utilization : 'a port -> float
-  (** Busier direction's occupancy over elapsed time, [0, 1]. *)
 
   val max_port_utilization : 'a t -> float
 

@@ -11,10 +11,9 @@ module Summary : sig
   val mean : t -> float
   (** 0.0 when empty. *)
 
-  val variance : t -> float
-  (** Sample variance; 0.0 with fewer than two observations. *)
-
   val stddev : t -> float
+  (** Sample standard deviation; 0.0 with fewer than two observations. *)
+
   val min : t -> float
   (** 0.0 when empty, like [mean] — empty summaries must not leak nan
       into tables or the metrics JSON export. *)

@@ -26,10 +26,6 @@
 
 val total_free_frags : Types.fs -> int
 
-val block_pass_us : Types.fs -> int
-(** Media time for one logical block to pass under the head (outermost
-    zone) — the unit in which [rotdelay] is converted to a gap. *)
-
 val rotdelay_gap_blocks : Types.fs -> int
 (** Blocks of gap implied by [sb.rotdelay_ms]; 0 when rotdelay is 0. *)
 

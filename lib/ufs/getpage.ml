@@ -45,7 +45,7 @@ let prefetch_block fs ip ~lbn =
 let rec handle_page fs (ip : inode) ~po ~hint =
   charge fs ~label:"getpage" fs.costs.Costs.pagecache_lookup;
   let lbn = po / Layout.bsize in
-  let w = Rstream.find ip ~po in
+  let w = Rstream.find ip.rs ~po ~cur:po in
   let sequential = w <> None in
   match Vm.Pool.lookup fs.pool (Io.ident ip po) with
   | Some p when p.Vm.Page.busy ->
@@ -70,7 +70,11 @@ let rec handle_page fs (ip : inode) ~po ~hint =
       in
       let blocks =
         if fs.feat.clustering && sequential then
-          let cap = match w with Some w -> Rstream.cbs_blocks fs w | None -> len in
+          let cap =
+            match w with
+            | Some w -> Rstream.cbs_blocks ~cluster:(cluster_bytes fs) w
+            | None -> len
+          in
           cap_blocks ip ~lbn (min len cap)
         else if hint_blocks > 1 then
           (* "random clustering": a large request is its own evidence of
@@ -104,26 +108,44 @@ and after_access fs (ip : inode) ~po ~w =
      read-ahead frontier at [po], which the frontier test below then
      sees *)
   (match w with
-  | Some w -> Rstream.touch fs ip w ~po
-  | None -> Rstream.note_miss fs ip ~po);
+  | Some w ->
+      fs.stats.ra_stream_hits <- fs.stats.ra_stream_hits + 1;
+      Rstream.touch ip.rs w ~po;
+      (* establishment: on the second match of a mid-file stream, boot
+         its read-ahead frontier at the current block so the
+         asynchronous cluster chain can start.  Strictly [<]: a frontier
+         at or ahead of [po] is live and must not be pulled back. *)
+      if fs.feat.clustering && w.hits = 2 && w.ra_off < po then
+        w.ra_off <- po
+  | None ->
+      (* a stream reading in < bsize chunks touches the same block
+         several times after its window advanced: that renews the
+         window and counts as no miss *)
+      if (not (Rstream.renew ip.rs ~po)) && Rstream.note_miss ip.rs ~po then
+        fs.stats.ra_streams <- fs.stats.ra_streams + 1);
   if fs.feat.clustering then begin
     (* figure 6: when the access reaches a stream's read-ahead frontier
        (the start of its last prefetched cluster), prefetch the cluster
        after it *)
-    match Rstream.find_ra ip ~po with
+    match Rstream.find_ra ip.rs ~po with
     | Some rw ->
-        Rstream.adapt fs rw;
+        let cluster = cluster_bytes fs in
+        (* feedback sizing: shrink on fresh wasted prefetches, grow back
+           on clean ones; inert while nothing is ever wasted *)
+        if
+          Rstream.adapt rw
+            ~wasted:(Vm.Pool.stats fs.pool).Vm.Pool.prefetch_wasted ~cluster
+        then fs.stats.ra_shrinks <- fs.stats.ra_shrinks + 1;
+        let cbs = Rstream.cbs_blocks ~cluster rw in
         let lbn = po / Layout.bsize in
         let cur_len =
           let _, len = Bmap.read fs ip ~lbn in
-          max 1 (cap_blocks ip ~lbn (min len (Rstream.cbs_blocks fs rw)))
+          max 1 (cap_blocks ip ~lbn (min len cbs))
         in
         let next_lbn = lbn + cur_len in
         if cap_blocks ip ~lbn:next_lbn 1 > 0 then begin
-          ignore
-            (prefetch_cluster fs ip ~lbn:next_lbn
-               ~max_blocks:(Rstream.cbs_blocks fs rw));
-          rw.s_ra_off <- next_lbn * Layout.bsize
+          ignore (prefetch_cluster fs ip ~lbn:next_lbn ~max_blocks:cbs);
+          rw.ra_off <- next_lbn * Layout.bsize
         end
     | None -> ()
   end

@@ -61,7 +61,7 @@ let itrunc fs (ip : inode) =
       ip.size <- 0;
       ip.idata <- None;
       ip.bmap_cache <- None;
-      reset_rstreams ip;
+      Rstream.reset ip.rs;
       Hashtbl.remove fs.resv ip.inum;
       assert (ip.blocks = 0);
       ip.meta_dirty <- true)

@@ -93,7 +93,7 @@ let do_read fs (ip : inode) (uio : Vfs.Uio.t) =
         (* sequential read mode, judged before getpage moves the stream
            windows: the access either starts a block some window
            predicted, or continues inside a block whose start matched *)
-        let seq = Rstream.peek_seq ip ~po ~off in
+        let seq = Rstream.find ip.rs ~po ~cur:off <> None in
         charge fs ~label:"rdwr" fs.costs.Costs.map_block;
         (match Getpage.getpage fs ip ~off:po ~len:Layout.bsize ~hint with
         | [ p ] ->

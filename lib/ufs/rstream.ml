@@ -1,10 +1,8 @@
-open Types
-
 (* Per-stream read-window table (adaptive readahead v2).
 
    The paper keeps one nextr/nextrio pair per file, so two interleaved
    sequential readers destroy each other's hint on every access.  Here
-   the inode carries a small LRU table of access windows instead; the
+   a file carries a small LRU table of access windows instead; the
    rules are chosen so that a single reader (and the random-access
    workloads of figure 10) behaves byte-identically to the single-pair
    original:
@@ -20,129 +18,185 @@ open Types
      the established streams;
    - windows that never reach two hits are dropped after a few more
      misses, so accidental matches in random workloads cannot
-     accumulate stale predictors. *)
+     accumulate stale predictors.
 
-let bump (ip : inode) =
-  ip.rs_clock <- ip.rs_clock + 1;
-  ip.rs_clock
+   The table is shared by the UFS read path and the NFS client, so it
+   knows nothing of either: every scan below is a closure-free loop,
+   because these run on every block a reader touches. *)
 
-(* The window predicting an access at [po], preferring established
-   windows, then the most recently used. *)
-let find (ip : inode) ~po =
-  List.fold_left
-    (fun best w ->
-      if w.s_nextr <> po then best
-      else
-        match best with
-        | Some b when (b.s_hits, b.s_stamp) >= (w.s_hits, w.s_stamp) -> best
-        | _ -> Some w)
-    None ip.rstreams
+type window = {
+  mutable nextr : int;
+  mutable ra_off : int;
+  mutable hits : int;
+  mutable born : int;
+  mutable stamp : int;
+  mutable cbs : int;
+  mutable waste_mark : int;
+}
 
-(* The window whose read-ahead frontier sits at [po] (the paper's
-   [po = nextrio] test, per window). *)
-let find_ra (ip : inode) ~po =
-  List.fold_left
-    (fun best w ->
-      if w.s_ra_off <> po then best
-      else
-        match best with
-        | Some b when b.s_stamp >= w.s_stamp -> best
-        | _ -> Some w)
-    None ip.rstreams
+type t = {
+  mutable windows : window list;
+  mutable clock : int;
+  mutable misses : int;
+}
 
-(* Non-mutating sequentiality peek for free-behind: the access at file
-   offset [off] inside block [po] rides a sequential stream if some
-   window predicted the block's start — or already advanced past it
-   while we were inside the block. *)
-let peek_seq (ip : inode) ~po ~off =
-  List.exists
-    (fun w -> w.s_nextr = po || (off > po && w.s_nextr = po + Layout.bsize))
-    ip.rstreams
+let max_windows = 8
+let miss_ttl = 4
 
-(* This stream's cluster size in blocks, after the adaptive cap. *)
-let cbs_blocks fs (w : rstream) =
-  max 1 (min w.s_cbs (cluster_bytes fs) / Layout.bsize)
+let mk_window ~nextr ~ra_off ~born ~stamp =
+  { nextr; ra_off; hits = 0; born; stamp; cbs = max_int; waste_mark = -1 }
 
-(* Feedback sizing, consulted when a window's frontier fires: shrink on
-   fresh wasted prefetches, grow back toward the file system's cluster
-   size on clean ones.  Inert while nothing is ever wasted. *)
-let adapt fs (w : rstream) =
-  let wasted = (Vm.Pool.stats fs.pool).Vm.Pool.prefetch_wasted in
-  if w.s_waste_mark < 0 then w.s_waste_mark <- wasted
-  else if wasted > w.s_waste_mark then begin
-    w.s_cbs <- max Layout.bsize (min w.s_cbs (cluster_bytes fs) / 2);
-    w.s_waste_mark <- wasted;
-    fs.stats.ra_shrinks <- fs.stats.ra_shrinks + 1
+let initial () = mk_window ~nextr:0 ~ra_off:0 ~born:0 ~stamp:0
+let create () = { windows = [ initial () ]; clock = 0; misses = 0 }
+
+let reset t =
+  t.clock <- 0;
+  t.misses <- 0;
+  t.windows <- [ initial () ]
+
+let bump t =
+  t.clock <- t.clock + 1;
+  t.clock
+
+(* Stamps are unique (one clock tick each), so every "latest" below
+   has exactly one answer and list order never breaks a tie. *)
+let rec latest b = function
+  | [] -> b
+  | w :: rest -> latest (if w.stamp > b.stamp then w else b) rest
+
+let mru t =
+  match t.windows with
+  | w :: rest -> latest w rest
+  | [] -> invalid_arg "Rstream.mru: empty table"
+
+(* ---------- find ---------- *)
+
+(* The access at file offset [cur] inside block [po] rides window [w]:
+   it starts the block [w] predicted, or continues inside the block [w]
+   just advanced past. *)
+let predicts w ~po ~cur =
+  w.nextr = po || (cur > po && w.nextr = po + Layout.bsize)
+
+(* established windows first, then the most recent *)
+let outranks w b = w.hits > b.hits || (w.hits = b.hits && w.stamp > b.stamp)
+
+let rec best_predicting b ~po ~cur = function
+  | [] -> b
+  | w :: rest ->
+      let b = if predicts w ~po ~cur && outranks w b then w else b in
+      best_predicting b ~po ~cur rest
+
+let rec find_in ~po ~cur = function
+  | [] -> None
+  | w :: rest ->
+      if predicts w ~po ~cur then Some (best_predicting w ~po ~cur rest)
+      else find_in ~po ~cur rest
+
+let find t ~po ~cur = find_in ~po ~cur t.windows
+
+let rec latest_at b ~po = function
+  | [] -> b
+  | w :: rest ->
+      latest_at (if w.ra_off = po && w.stamp > b.stamp then w else b) ~po rest
+
+let rec find_ra_in ~po = function
+  | [] -> None
+  | w :: rest ->
+      if w.ra_off = po then Some (latest_at w ~po rest) else find_ra_in ~po rest
+
+let find_ra t ~po = find_ra_in ~po t.windows
+
+(* ---------- update ---------- *)
+
+let touch t w ~po =
+  w.hits <- w.hits + 1;
+  w.stamp <- bump t;
+  w.born <- t.misses;
+  w.nextr <- po + Layout.bsize
+
+let rec renew_in ~born ~next = function
+  | [] -> false
+  | w :: rest ->
+      if w.nextr = next then begin
+        w.born <- born;
+        true
+      end
+      else renew_in ~born ~next rest
+
+let renew t ~po = renew_in ~born:t.misses ~next:(po + Layout.bsize) t.windows
+
+(* Drop unestablished windows older than the TTL, sharing the tail
+   (and allocating nothing) when none goes. *)
+let rec prune misses = function
+  | [] -> []
+  | w :: rest as l ->
+      let rest' = prune misses rest in
+      if w.hits >= 2 || misses - w.born <= miss_ttl then
+        if rest' == rest then l else w :: rest'
+      else rest'
+
+let rec latest_unhit b = function
+  | [] -> b
+  | w :: rest ->
+      latest_unhit (if w.hits = 0 && w.stamp > b.stamp then w else b) rest
+
+(* Repoint the most recent never-hit window at [po]'s successor, as the
+   paper repoints its single nextr; its frontier stays, as the paper
+   leaves nextrio.  [false] when every window has been hit. *)
+let rec repoint_scratch t ~po = function
+  | [] -> false
+  | w :: rest ->
+      if w.hits = 0 then begin
+        let s = latest_unhit w rest in
+        s.nextr <- po + Layout.bsize;
+        s.born <- t.misses;
+        s.stamp <- bump t;
+        true
+      end
+      else repoint_scratch t ~po rest
+
+let rec earliest b = function
+  | [] -> b
+  | w :: rest -> earliest (if w.stamp < b.stamp then w else b) rest
+
+let rec remove x = function
+  | [] -> []
+  | w :: rest -> if w == x then rest else w :: remove x rest
+
+let evict_lru t =
+  match t.windows with
+  | w :: rest -> t.windows <- remove (earliest w rest) t.windows
+  | [] -> ()
+
+let note_miss t ~po =
+  t.misses <- t.misses + 1;
+  t.windows <- prune t.misses t.windows;
+  if repoint_scratch t ~po t.windows then false
+  else begin
+    if List.length t.windows >= max_windows then evict_lru t;
+    let w =
+      mk_window ~nextr:(po + Layout.bsize) ~ra_off:(-1) ~born:t.misses
+        ~stamp:(bump t)
+    in
+    t.windows <- w :: t.windows;
+    true
   end
-  else if w.s_cbs < cluster_bytes fs then
-    w.s_cbs <- min (cluster_bytes fs) (w.s_cbs * 2)
 
-(* The access at [po] matched window [w]. *)
-let touch fs (ip : inode) (w : rstream) ~po =
-  fs.stats.ra_stream_hits <- fs.stats.ra_stream_hits + 1;
-  w.s_hits <- w.s_hits + 1;
-  w.s_stamp <- bump ip;
-  w.s_born <- ip.rs_misses;
-  w.s_nextr <- po + Layout.bsize;
-  (* Establishment: on the second match of a mid-file stream, boot its
-     read-ahead frontier at the current block so the asynchronous
-     cluster chain can start.  Strictly [<]: a frontier at or ahead of
-     [po] is live and must not be pulled back. *)
-  if fs.feat.clustering && w.s_hits = 2 && w.s_ra_off < po then
-    w.s_ra_off <- po
+(* ---------- cluster sizing ---------- *)
 
-let evict_lru (ip : inode) =
-  match
-    List.fold_left
-      (fun worst w ->
-        match worst with
-        | Some b when b.s_stamp <= w.s_stamp -> worst
-        | _ -> Some w)
-      None ip.rstreams
-  with
-  | Some lru -> ip.rstreams <- List.filter (fun w -> w != lru) ip.rstreams
-  | None -> ()
+let cbs_blocks ~cluster w = max 1 (min w.cbs cluster / Layout.bsize)
 
-(* The access at [po] matched no window. *)
-let note_miss fs (ip : inode) ~po =
-  match
-    List.find_opt (fun w -> w.s_nextr = po + Layout.bsize) ip.rstreams
-  with
-  | Some w ->
-      (* sub-block re-access: a stream reading in < bsize chunks touches
-         the same block several times; its window already advanced.
-         Keep the window alive, count nothing. *)
-      w.s_born <- ip.rs_misses
-  | None -> (
-      ip.rs_misses <- ip.rs_misses + 1;
-      (* drop stale unestablished windows *)
-      ip.rstreams <-
-        List.filter
-          (fun w ->
-            w.s_hits >= 2 || ip.rs_misses - w.s_born <= rstream_miss_ttl)
-          ip.rstreams;
-      let scratch =
-        List.fold_left
-          (fun best w ->
-            if w.s_hits > 0 then best
-            else
-              match best with
-              | Some b when b.s_stamp >= w.s_stamp -> best
-              | _ -> Some w)
-          None ip.rstreams
-      in
-      match scratch with
-      | Some w ->
-          (* repoint, as the paper repoints its single nextr; the
-             frontier stays, as the paper leaves nextrio *)
-          w.s_nextr <- po + Layout.bsize;
-          w.s_born <- ip.rs_misses;
-          w.s_stamp <- bump ip
-      | None ->
-          if List.length ip.rstreams >= max_rstreams then evict_lru ip;
-          let w =
-            mk_rstream ~nextr:(po + Layout.bsize) ~ra_off:(-1)
-              ~born:ip.rs_misses ~stamp:(bump ip)
-          in
-          ip.rstreams <- w :: ip.rstreams;
-          fs.stats.ra_streams <- fs.stats.ra_streams + 1)
+let adapt ~wasted ~cluster w =
+  if w.waste_mark < 0 then begin
+    w.waste_mark <- wasted;
+    false
+  end
+  else if wasted > w.waste_mark then begin
+    w.cbs <- max Layout.bsize (min w.cbs cluster / 2);
+    w.waste_mark <- wasted;
+    true
+  end
+  else begin
+    if w.cbs < cluster then w.cbs <- min cluster (w.cbs * 2);
+    false
+  end

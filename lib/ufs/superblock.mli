@@ -38,8 +38,6 @@ type t = {
   mutable jfrags : int;  (** journal region length in fragments *)
 }
 
-val magic_value : int
-
 val create :
   nfrags:int ->
   ncg:int ->

@@ -113,34 +113,6 @@ let mk_stats () =
     push_io_blocks = Sim.Stats.Hist.create ();
   }
 
-(* One sequential-access window: the per-stream generalisation of the
-   paper's single nextr/nextrio pair.  s_cbs caps this stream's cluster
-   size; max_int means "uncapped" (the file system's cluster size),
-   which keeps a reset independent of the mount. *)
-type rstream = {
-  mutable s_nextr : int;
-  mutable s_ra_off : int;
-  mutable s_hits : int;
-  mutable s_born : int;
-  mutable s_stamp : int;
-  mutable s_cbs : int;
-  mutable s_waste_mark : int;
-}
-
-let max_rstreams = 8
-let rstream_miss_ttl = 4
-
-let mk_rstream ~nextr ~ra_off ~born ~stamp =
-  {
-    s_nextr = nextr;
-    s_ra_off = ra_off;
-    s_hits = 0;
-    s_born = born;
-    s_stamp = stamp;
-    s_cbs = max_int;
-    s_waste_mark = -1;
-  }
-
 type inode = {
   inum : int;
   mutable kind : Dinode.kind;
@@ -151,9 +123,7 @@ type inode = {
   db : int array;
   ib : int array;
   mutable immediate : string;
-  mutable rstreams : rstream list;
-  mutable rs_clock : int;
-  mutable rs_misses : int;
+  rs : Rstream.t;
   mutable delayoff : int;
   mutable delaylen : int;
   wlimit : Sim.Semaphore.t option;
@@ -248,19 +218,6 @@ type fs = {
   mutable wal : wal option;  (** intent journal, when the volume has one *)
 }
 
-let reset_rstreams (ip : inode) =
-  ip.rs_clock <- 0;
-  ip.rs_misses <- 0;
-  ip.rstreams <- [ mk_rstream ~nextr:0 ~ra_off:0 ~born:0 ~stamp:0 ]
-
-let mru_rstream (ip : inode) =
-  List.fold_left
-    (fun best w ->
-      match best with
-      | Some b when b.s_stamp >= w.s_stamp -> best
-      | _ -> Some w)
-    None ip.rstreams
-
 let mk_inode fs ~inum (d : Dinode.t) =
   {
     inum;
@@ -272,9 +229,7 @@ let mk_inode fs ~inum (d : Dinode.t) =
     db = Array.copy d.Dinode.db;
     ib = Array.copy d.Dinode.ib;
     immediate = d.Dinode.immediate;
-    rstreams = [ mk_rstream ~nextr:0 ~ra_off:0 ~born:0 ~stamp:0 ];
-    rs_clock = 0;
-    rs_misses = 0;
+    rs = Rstream.create ();
     delayoff = 0;
     delaylen = 0;
     wlimit =

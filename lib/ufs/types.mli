@@ -102,35 +102,6 @@ type stats = {
 
 val mk_stats : unit -> stats
 
-(** One sequential-access window: the per-stream generalisation of the
-    paper's single nextr/nextrio pair, so N interleaved readers stop
-    destroying each other's sequentiality hint. *)
-type rstream = {
-  mutable s_nextr : int;  (** predicted next read offset, bytes *)
-  mutable s_ra_off : int;
-      (** read-ahead frontier (the paper's nextrio); -1 = not yet
-          established for a mid-file stream *)
-  mutable s_hits : int;  (** consecutive-prediction matches *)
-  mutable s_born : int;
-      (** inode miss-count at creation/refresh, for TTL pruning *)
-  mutable s_stamp : int;  (** LRU clock stamp *)
-  mutable s_cbs : int;
-      (** adaptive cluster-size cap in bytes; max_int = uncapped (use
-          the file system's cluster size) *)
-  mutable s_waste_mark : int;
-      (** pool wasted-prefetch count at the last sizing decision;
-          -1 = not yet sampled *)
-}
-
-val max_rstreams : int
-(** Window-table capacity per file (8). *)
-
-val rstream_miss_ttl : int
-(** Unestablished windows are dropped after this many file-level misses
-    since their creation/refresh (4). *)
-
-val mk_rstream : nextr:int -> ra_off:int -> born:int -> stamp:int -> rstream
-
 type inode = {
   inum : int;
   mutable kind : Dinode.kind;
@@ -142,9 +113,7 @@ type inode = {
   ib : int array;
   mutable immediate : string;
   (* --- read clustering state (paper: nextr/nextrio, per stream) --- *)
-  mutable rstreams : rstream list;  (** at most {!max_rstreams} windows *)
-  mutable rs_clock : int;  (** LRU stamp source *)
-  mutable rs_misses : int;  (** accesses matching no window *)
+  rs : Rstream.t;  (** one window per sequential stream *)
   (* --- write clustering state (paper: delayoff, delaylen) --- *)
   mutable delayoff : int;
   mutable delaylen : int;
@@ -242,13 +211,6 @@ type fs = {
   trace : event Sim.Trace.t;
   mutable wal : wal option;  (** intent journal, when the volume has one *)
 }
-
-val reset_rstreams : inode -> unit
-(** Back to the initial single window predicting offset 0 — the
-    per-stream equivalent of the old [nextr <- 0; nextrio <- 0]. *)
-
-val mru_rstream : inode -> rstream option
-(** Most recently touched window (tests and benches introspect it). *)
 
 val mk_inode : fs -> inum:int -> Dinode.t -> inode
 (** Wrap a decoded dinode, initialising clustering state ("when the

@@ -32,7 +32,7 @@ let reset_file_state (fs : Ufs.Types.fs) (ip : Ufs.Types.inode) =
   Ufs.Putpage.push_delayed fs ip ~sync:true ();
   Ufs.Io.wait_writes fs ip;
   Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
-  Ufs.Types.reset_rstreams ip;
+  Ufs.Rstream.reset ip.Ufs.Types.rs;
   ip.Ufs.Types.bmap_cache <- None
 
 let measure (fs : Ufs.Types.fs) kind f =

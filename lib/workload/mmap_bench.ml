@@ -13,7 +13,7 @@ let run (fs : Ufs.Types.fs) ~path ~file_mb =
       (* cold start, as in a fresh run *)
       Ufs.Putpage.push_delayed fs ip ~sync:true ();
       Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
-      Ufs.Types.reset_rstreams ip;
+      Ufs.Rstream.reset ip.Ufs.Types.rs;
       let engine = fs.Ufs.Types.engine in
       let cpu = fs.Ufs.Types.cpu in
       let total = file_mb * 1024 * 1024 in

@@ -20,7 +20,7 @@ let with_traced_file ?(mkfs = mkfs_cluster3) ?features ?memory_mb ~blocks f =
       Ufs.Fs.fsync fs ip;
       (* cold cache, fresh predictor *)
       Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
-      Ufs.Types.reset_rstreams ip;
+      Ufs.Rstream.reset ip.Ufs.Types.rs;
       Sim.Trace.enable fs.Ufs.Types.trace true;
       Fun.protect
         ~finally:(fun () -> Ufs.Iops.iput fs ip)
@@ -69,8 +69,8 @@ let test_figure6_pattern () =
       in
       check_bool "figure 6 I/O pattern" true (reads_of_trace fs = expected);
       (* the stream's read-ahead frontier advanced cluster by cluster *)
-      let w = Option.get (Ufs.Types.mru_rstream ip) in
-      check_int "nextrio at last cluster" (9 * bsize) w.Ufs.Types.s_ra_off)
+      let w = Ufs.Rstream.mru ip.Ufs.Types.rs in
+      check_int "nextrio at last cluster" (9 * bsize) w.Ufs.Rstream.ra_off)
 
 let test_figure6_respects_bmap_length () =
   (* a fragmented file: the allocator is forced to split the file, so
@@ -87,7 +87,7 @@ let test_figure6_respects_bmap_length () =
       done;
       Ufs.Fs.fsync fs ip;
       Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
-      Ufs.Types.reset_rstreams ip;
+      Ufs.Rstream.reset ip.Ufs.Types.rs;
       Sim.Trace.clear fs.Ufs.Types.trace;
       read_blocks fs ip ~count:9;
       let reads = reads_of_trace fs in

@@ -109,7 +109,7 @@ let freebehind_run ~read_order =
       done;
       Ufs.Fs.fsync fs ip;
       Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
-      Ufs.Types.reset_rstreams ip;
+      Ufs.Rstream.reset ip.Ufs.Types.rs;
       for i = 0 to blocks - 1 do
         ignore (Ufs.Fs.read fs ip ~off:(read_order i * bsize) ~buf ~len:bsize)
       done;

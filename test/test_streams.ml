@@ -2,12 +2,17 @@
    are frozen byte-for-byte, interleaved sequential readers each keep
    cluster read-ahead (locally and over NFS), the server still gathers
    eight interleaving client write streams into multi-block disk
-   writes, and the NFS client's predictor survives backward seeks
-   instead of inheriting a read-ahead frontier it can never catch. *)
+   writes, the NFS client's predictor survives backward seeks
+   instead of inheriting a read-ahead frontier it can never catch, and
+   the window table both share keeps its bound and match rule, checked
+   on the table alone. *)
 
 module Exp = Clusterfs.Experiments
 
+let bsize = Ufs.Layout.bsize
+
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
 (* ---------- figure 10/11 goldens ---------- *)
@@ -184,6 +189,110 @@ let test_backward_seek () =
       check_bool "unused prefetched pages counted as wasted" true
         (st.Nfs.Client.ra_wasted > w0))
 
+(* ---------- the window table alone ---------- *)
+
+module Rs = Ufs.Rstream
+
+(* Feed [find]'s verdict on the access at [po] back into the table the
+   way the UFS read path ([~ufs:true]: renew before note_miss) or the
+   NFS client (a repointed window restarts its frontier) does. *)
+let update ~ufs rs ~po = function
+  | Some w -> Rs.touch rs w ~po
+  | None ->
+      if ufs then (
+        if not (Rs.renew rs ~po) then ignore (Rs.note_miss rs ~po))
+      else if not (Rs.note_miss rs ~po) then (Rs.mru rs).Rs.ra_off <- 0
+
+(* The block and the offset [find] judges an access at [off] by: UFS
+   asks per block, the NFS client per sub-block chunk. *)
+let judge ~ufs ~off =
+  let po = off - (off mod bsize) in
+  (po, if ufs then po else off)
+
+let access ~ufs rs ~off =
+  let po, cur = judge ~ufs ~off in
+  let found = Rs.find rs ~po ~cur in
+  update ~ufs rs ~po found;
+  found
+
+let test_lone_reader_one_window () =
+  List.iter
+    (fun (ufs, chunk) ->
+      let rs = Rs.create () in
+      let first = Rs.mru rs in
+      for i = 0 to 511 do
+        ignore (access ~ufs rs ~off:(i * chunk));
+        check_int "no miss" 0 rs.Rs.misses;
+        check_int "one window" 1 (List.length rs.Rs.windows);
+        check_bool "the initial window" true (Rs.mru rs == first)
+      done)
+    (* block reads and quarter-block reads, as either caller *)
+    [ (true, bsize); (true, bsize / 4); (false, bsize); (false, bsize / 4) ]
+
+let test_renew_and_sub_block_find () =
+  let rs = Rs.create () in
+  let w = Option.get (Rs.find rs ~po:0 ~cur:0) in
+  Rs.touch rs w ~po:0;
+  let hits = w.Rs.hits and clock = rs.Rs.clock in
+  check_int "window advanced past block 0" bsize w.Rs.nextr;
+  check_bool "block-aligned re-access predicts nothing" true
+    (Rs.find rs ~po:0 ~cur:0 = None);
+  check_bool "renew finds the advanced window" true (Rs.renew rs ~po:0);
+  check_int "renew leaves hits" hits w.Rs.hits;
+  check_int "renew leaves the clock" clock rs.Rs.clock;
+  check_int "renew counts no miss" 0 rs.Rs.misses;
+  check_bool "nothing sits past block 5" false (Rs.renew rs ~po:(5 * bsize));
+  (match Rs.find rs ~po:0 ~cur:(bsize / 2) with
+  | Some w' ->
+      check_bool "mid-block find matches the advanced window" true (w' == w)
+  | None -> Alcotest.fail "mid-block access missed the advanced window");
+  check_bool "block 1 is predicted" true
+    (Rs.find rs ~po:bsize ~cur:bsize <> None)
+
+(* Random offsets mixed with up to 10 interleaved sequential runs, each
+   reading whole blocks or quarter blocks from its own region. *)
+let prop_table_bounded =
+  Helpers.qtest ~count:200 "window table: at most 8 windows, find matches"
+    QCheck.(
+      triple (int_range 0 10)
+        (list_of_size (Gen.int_range 1 400) (pair small_nat small_nat))
+        bool)
+    (fun (runs, ops, ufs) ->
+      let rs = Rs.create () in
+      let pos = Array.init runs (fun i -> i * 512 * bsize) in
+      List.for_all
+        (fun (a, b) ->
+          let off =
+            if runs > 0 && a mod 3 <> 0 then begin
+              let i = b mod runs in
+              let off = pos.(i) in
+              pos.(i) <- off + (if i mod 2 = 0 then bsize else bsize / 4);
+              off
+            end
+            else ((b * 7919) mod 8192 * bsize) + (a mod 4 * (bsize / 4))
+          in
+          let po, cur = judge ~ufs ~off in
+          let predicts w =
+            w.Rs.nextr = po || (cur > po && w.Rs.nextr = po + bsize)
+          in
+          let found = Rs.find rs ~po ~cur in
+          let found_ok =
+            match found with
+            | None -> not (List.exists predicts rs.Rs.windows)
+            | Some w ->
+                predicts w
+                && List.memq w rs.Rs.windows
+                && List.for_all
+                     (fun v ->
+                       v == w || (not (predicts v)) || v.Rs.hits < w.Rs.hits
+                       || (v.Rs.hits = w.Rs.hits && v.Rs.stamp < w.Rs.stamp))
+                     rs.Rs.windows
+          in
+          update ~ufs rs ~po found;
+          let n = List.length rs.Rs.windows in
+          found_ok && n >= 1 && n <= Rs.max_windows)
+        ops)
+
 let suites =
   [
     ( "streams",
@@ -198,5 +307,10 @@ let suites =
           test_write_gather_8_clients;
         Alcotest.test_case "client read-ahead survives backward seek" `Slow
           test_backward_seek;
+        Alcotest.test_case "lone sequential reader keeps one window" `Quick
+          test_lone_reader_one_window;
+        Alcotest.test_case "renew and sub-block find" `Quick
+          test_renew_and_sub_block_find;
+        prop_table_bounded;
       ] );
   ]
