@@ -86,17 +86,6 @@ let flatten (j : Sim.Json.t) =
 
 (* ---------- record ---------- *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let record bench_path out rel_tol abs_tol =
   let j = parse_file bench_path in
   let section =
@@ -106,7 +95,7 @@ let record bench_path out rel_tol abs_tol =
   in
   let entries = flatten j in
   let b = Buffer.create 4096 in
-  Printf.bprintf b "{\"section\": \"%s\",\n" (esc section);
+  Printf.bprintf b "{\"section\": \"%s\",\n" (Sim.Json.escape section);
   Printf.bprintf b " \"rel_tol\": %g, \"abs_tol\": %g,\n \"entries\": ["
     rel_tol abs_tol;
   List.iteri
@@ -115,7 +104,10 @@ let record bench_path out rel_tol abs_tol =
       Printf.bprintf b
         "\n  {\"layer\": \"%s\", \"instance\": \"%s\", \"metric\": \"%s\", \
          \"value\": %.17g}"
-        (esc e.layer) (esc e.instance) (esc e.metric) e.v)
+        (Sim.Json.escape e.layer)
+        (Sim.Json.escape e.instance)
+        (Sim.Json.escape e.metric)
+        e.v)
     entries;
   Buffer.add_string b "\n]}\n";
   (match out with

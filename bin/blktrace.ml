@@ -12,30 +12,15 @@
 
 open Cmdliner
 
-let base_config name =
-  match String.lowercase_ascii name with
-  | "a" -> Ok Clusterfs.Config.config_a
-  | "b" -> Ok Clusterfs.Config.config_b
-  | "c" -> Ok Clusterfs.Config.config_c
-  | "d" -> Ok Clusterfs.Config.config_d
-  | other -> Error (Printf.sprintf "unknown config %S (want a|b|c|d)" other)
+let full_config base disks layout stripe_kb =
+  match Vol.layout_of_string (String.lowercase_ascii layout) with
+  | exception Invalid_argument _ ->
+      Error
+        (Printf.sprintf "unknown layout %S (want concat|stripe|mirror)" layout)
+  | l -> Ok (Clusterfs.Config.with_vol base ~layout:l ~stripe_kb disks)
 
-let full_config config_name disks layout stripe_kb =
-  match base_config config_name with
-  | Error _ as e -> e
-  | Ok base -> (
-      match Vol.layout_of_string (String.lowercase_ascii layout) with
-      | exception Invalid_argument _ ->
-          Error
-            (Printf.sprintf "unknown layout %S (want concat|stripe|mirror)"
-               layout)
-      | l ->
-          if disks < 1 then Error "--disks must be >= 1"
-          else if stripe_kb < 1 then Error "--stripe-kb must be >= 1"
-          else Ok (Clusterfs.Config.with_vol base ~layout:l ~stripe_kb disks))
-
-let run config_name workload file_mb disks layout stripe_kb metrics_path =
-  match full_config config_name disks layout stripe_kb with
+let run config workload file_mb disks layout stripe_kb metrics_path =
+  match full_config config disks layout stripe_kb with
   | Error e ->
       prerr_endline e;
       1
@@ -49,18 +34,18 @@ let run config_name workload file_mb disks layout stripe_kb metrics_path =
       in
       let body (m : Clusterfs.Machine.t) =
         let fs = m.Clusterfs.Machine.fs in
+        (* trace one phase; FSR/FRU first lay out the file untraced *)
+        let phase kind =
+          let local = Workload.Handle.Local fs in
+          if kind <> Workload.Iobench.FSW then
+            Workload.Iobench.prepare local cfg;
+          Disk.Blkdev.set_tracing dev true;
+          ignore (Workload.Iobench.run_phase local cfg kind)
+        in
         match String.lowercase_ascii workload with
-        | "fsw" ->
-            Disk.Blkdev.set_tracing dev true;
-            ignore (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW)
-        | "fsr" ->
-            Workload.Iobench.prepare fs cfg;
-            Disk.Blkdev.set_tracing dev true;
-            ignore (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR)
-        | "fru" ->
-            Workload.Iobench.prepare fs cfg;
-            Disk.Blkdev.set_tracing dev true;
-            ignore (Workload.Iobench.run_phase fs cfg Workload.Iobench.FRU)
+        | "fsw" -> phase Workload.Iobench.FSW
+        | "fsr" -> phase Workload.Iobench.FSR
+        | "fru" -> phase Workload.Iobench.FRU
         | "rm" ->
             ignore (Workload.Metaops.create_many fs ~dir:"/many" ~n:100 ());
             Disk.Blkdev.set_tracing dev true;
@@ -90,7 +75,8 @@ let run config_name workload file_mb disks layout stripe_kb metrics_path =
               ~meta:
                 [
                   ("tool", "blktrace");
-                  ("config", config_name);
+                  ( "config",
+                    String.lowercase_ascii config.Clusterfs.Config.name );
                   ("workload", workload);
                 ]
           in
@@ -101,9 +87,6 @@ let run config_name workload file_mb disks layout stripe_kb metrics_path =
           Printf.eprintf "metrics -> %s\n%!" path);
       0
 
-let config_t =
-  Arg.(value & opt string "a" & info [ "config"; "c" ] ~doc:"Paper config: a, b, c or d.")
-
 let workload_t =
   Arg.(
     value & opt string "fsw"
@@ -113,7 +96,9 @@ let file_mb_t =
   Arg.(value & opt int 4 & info [ "file-mb" ] ~doc:"Benchmark file size in MB.")
 
 let disks_t =
-  Arg.(value & opt int 1 & info [ "disks" ] ~doc:"Number of member disks.")
+  Arg.(
+    value & opt Cli.positive 1
+    & info [ "disks" ] ~doc:"Number of member disks.")
 
 let layout_t =
   Arg.(
@@ -121,7 +106,9 @@ let layout_t =
     & info [ "layout" ] ~doc:"Volume layout: concat, stripe or mirror.")
 
 let stripe_kb_t =
-  Arg.(value & opt int 128 & info [ "stripe-kb" ] ~doc:"Stripe unit in KB.")
+  Arg.(
+    value & opt Cli.positive 128
+    & info [ "stripe-kb" ] ~doc:"Stripe unit in KB.")
 
 let metrics_t =
   Arg.(
@@ -137,7 +124,7 @@ let cmd =
   Cmd.v
     (Cmd.info "blktrace" ~doc:"Dump a simulated disk's request trace as CSV")
     Term.(
-      const run $ config_t $ workload_t $ file_mb_t $ disks_t $ layout_t
+      const run $ Cli.config $ workload_t $ file_mb_t $ disks_t $ layout_t
       $ stripe_kb_t $ metrics_t)
 
 let () = exit (Cmd.eval' cmd)

@@ -10,14 +10,6 @@
 
 open Cmdliner
 
-let base_config name =
-  match String.lowercase_ascii name with
-  | "a" -> Ok Clusterfs.Config.config_a
-  | "b" -> Ok Clusterfs.Config.config_b
-  | "c" -> Ok Clusterfs.Config.config_c
-  | "d" -> Ok Clusterfs.Config.config_d
-  | other -> Error (Printf.sprintf "unknown config %S (want a|b|c|d)" other)
-
 let scenario_of_name name =
   List.find_opt
     (fun s -> s.Fio.Spec.name = name)
@@ -51,41 +43,22 @@ let run_target config clients servers topology ports_buffer spec = function
   | `Local -> [ Fio.Scenarios.run_local ~config spec ]
   | `Remote ->
       [
-        Fio.Scenarios.run_remote ~config ~clients ~servers ?topology
+        Fio.Scenarios.run_remote ~config ~clients ~servers ~topology
           ?ports_buffer spec;
       ]
   | `Both ->
       [
         Fio.Scenarios.run_local ~config spec;
-        Fio.Scenarios.run_remote ~config ~clients ~servers ?topology
+        Fio.Scenarios.run_remote ~config ~clients ~servers ~topology
           ?ports_buffer spec;
       ]
 
-let topology_of_string = function
-  | "p2p" -> Ok (Some Clusterfs.Topology.Point_to_point)
-  | "shared" -> Ok (Some Clusterfs.Topology.Shared_medium)
-  | "switched" -> Ok (Some Clusterfs.Topology.Switched)
-  | other ->
-      Error (Printf.sprintf "unknown topology %S (want p2p|shared|switched)" other)
-
-let run specs config_name clients servers topology ports_buffer target json
-    trace =
-  match
-    ( resolve_specs specs,
-      base_config config_name,
-      (match String.lowercase_ascii target with
-      | "local" -> Ok `Local
-      | "remote" -> Ok `Remote
-      | "both" -> Ok `Both
-      | other ->
-          Error (Printf.sprintf "unknown target %S (want local|remote|both)" other)),
-      topology_of_string (String.lowercase_ascii topology) )
-  with
-  | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e
-    ->
+let run specs config clients servers topology ports_buffer target json trace =
+  match resolve_specs specs with
+  | Error e ->
       prerr_endline e;
       1
-  | Ok specs, Ok config, Ok target, Ok topology ->
+  | Ok specs ->
       let recorder =
         Option.map (fun _ -> Sim.Span.create_recorder ()) trace
       in
@@ -134,41 +107,13 @@ let specs_t =
            ilv-single, ilv-pair, strided), a spec file, or an inline \
            'key=value ...' spec.  Default: all canned scenarios.")
 
-let config_t =
-  Arg.(
-    value & opt string "a"
-    & info [ "config"; "c" ] ~doc:"Paper config: a, b, c or d.")
-
-let clients_t =
-  Arg.(
-    value & opt int 2
-    & info [ "clients" ] ~doc:"Client nodes for the remote target.")
-
-let servers_t =
-  Arg.(
-    value & opt int 1
-    & info [ "servers" ]
-        ~doc:
-          "Server machines for the remote target; private-file jobs \
-           round-robin over them, shared files land where the namespace \
-           hash says.")
-
-let topology_fio_t =
-  Arg.(
-    value & opt string "p2p"
-    & info [ "topology" ]
-        ~doc:"Remote wiring: p2p, shared or switched.")
-
-let ports_buffer_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "ports-buffer" ]
-        ~doc:"Switch output-port buffer in frames (switched topology).")
-
 let target_t =
   Arg.(
-    value & opt string "both"
+    value
+    & opt
+        (Cli.choice "target"
+           [ ("local", `Local); ("remote", `Remote); ("both", `Both) ])
+        `Both
     & info [ "target"; "t" ] ~doc:"Where to run: local, remote or both.")
 
 let json_t =
@@ -193,7 +138,7 @@ let cmd =
   Cmd.v
     (Cmd.info "fiobench" ~doc)
     Term.(
-      const run $ specs_t $ config_t $ clients_t $ servers_t $ topology_fio_t
-      $ ports_buffer_t $ target_t $ json_t $ trace_t)
+      const run $ specs_t $ Cli.config $ Cli.clients ~default:2 $ Cli.servers
+      $ Cli.topology $ Cli.ports_buffer $ target_t $ json_t $ trace_t)
 
 let () = exit (Cmd.eval' cmd)

@@ -8,258 +8,149 @@
 
 open Cmdliner
 
-let ( let* ) = Result.bind
-
-let base_config name =
-  match String.lowercase_ascii name with
-  | "a" -> Ok Clusterfs.Config.config_a
-  | "b" -> Ok Clusterfs.Config.config_b
-  | "c" -> Ok Clusterfs.Config.config_c
-  | "d" -> Ok Clusterfs.Config.config_d
-  | other -> Error (Printf.sprintf "unknown config %S (want a|b|c|d)" other)
-
-let phase_of_string s =
-  match String.uppercase_ascii s with
-  | "FSR" -> Ok Workload.Iobench.FSR
-  | "FSU" -> Ok Workload.Iobench.FSU
-  | "FSW" -> Ok Workload.Iobench.FSW
-  | "FRR" -> Ok Workload.Iobench.FRR
-  | "FRU" -> Ok Workload.Iobench.FRU
-  | other -> Error (Printf.sprintf "unknown phase %S" other)
-
 let client_path id = Printf.sprintf "/bench%d" id
 
-(* drop a file from the owning server's page cache so the next phase
-   pays the same disk reads a local cold-start phase does *)
-let cool_server t path =
-  Clusterfs.Topology.run t (fun t ->
-      let server = Clusterfs.Topology.server_of_path t path in
-      let fs = t.Clusterfs.Topology.servers.(server).Clusterfs.Machine.fs in
-      let ip = Ufs.Fs.namei fs path in
-      Workload.Iobench.reset_file_state fs ip;
-      Ufs.Iops.iput fs ip)
-
-let cool_all t clients =
-  for id = 0 to clients - 1 do
-    cool_server t (client_path id)
-  done
-
-let transport_of_string = function
-  | "fixed" -> Ok Nfs.Rpc.Fixed
-  | "adaptive" -> Ok Nfs.Rpc.Adaptive
-  | other -> Error (Printf.sprintf "unknown transport %S (want fixed|adaptive)" other)
-
-let topology_of_string = function
-  | "p2p" -> Ok Clusterfs.Topology.Point_to_point
-  | "shared" -> Ok Clusterfs.Topology.Shared_medium
-  | "switched" -> Ok Clusterfs.Topology.Switched
-  | other ->
-      Error (Printf.sprintf "unknown topology %S (want p2p|shared|switched)" other)
-
-let run config_name clients servers nfsd biods ra_depth file_mb bandwidth_kb
-    latency_us loss seed transport topology ports_buffer phases verbose =
-  match
-    let* config = base_config config_name in
-    let* transport = transport_of_string transport in
-    let* topology = topology_of_string topology in
-    Ok (config, transport, topology)
-  with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok (config, transport, topology) -> (
-      let phases =
-        match phases with
-        | [] -> Ok [ Workload.Iobench.FSW; Workload.Iobench.FSR ]
-        | ps ->
-            List.fold_right
-              (fun p acc ->
-                match (phase_of_string p, acc) with
-                | Ok p, Ok acc -> Ok (p :: acc)
-                | Error e, _ -> Error e
-                | _, (Error _ as e) -> e)
-              ps (Ok [])
+let run (config : Clusterfs.Config.t) clients servers nfsd biods ra_depth
+    file_mb bandwidth_kb latency_us loss seed transport topology ports_buffer
+    phases verbose =
+  let net =
+    {
+      Net.default_config with
+      Net.bandwidth = bandwidth_kb * 1000;
+      latency = Sim.Time.us latency_us;
+      loss;
+    }
+  in
+  Printf.printf
+    "server%s: config %s, %d nfsd; %d client%s, %d KB/s %s, %d us \
+     latency, %.2f%% loss, %s transport\n"
+    (if servers = 1 then "" else Printf.sprintf "s x%d" servers)
+    config.Clusterfs.Config.name nfsd clients
+    (if clients = 1 then "" else "s")
+    bandwidth_kb
+    (match topology with
+    | Clusterfs.Topology.Point_to_point -> "links"
+    | Clusterfs.Topology.Shared_medium -> "shared wire"
+    | Clusterfs.Topology.Switched -> "switched fabric")
+    latency_us (loss *. 100.)
+    (match transport with
+    | Nfs.Rpc.Fixed -> "fixed-timeout"
+    | Nfs.Rpc.Adaptive -> "adaptive");
+  let t =
+    Clusterfs.Topology.create ~net ~seed ~topology ~transport ~nfsd ?biods
+      ?ra_depth ~servers ?ports_buffer ~clients config
+  in
+  let cfg id =
+    {
+      Workload.Iobench.default_config with
+      Workload.Iobench.file_mb;
+      path = client_path id;
+    }
+  in
+  (* non-FSW-first phase lists need the files to exist *)
+  (match phases with
+  | Workload.Iobench.FSW :: _ -> ()
+  | _ -> Clusterfs.Experiments.prepare_cold t cfg);
+  Printf.printf "\n%-6s %12s %12s %12s %12s\n" "phase" "agg KB/s" "KB/s min"
+    "KB/s mean" "KB/s max";
+  List.iter
+    (fun phase ->
+      let results = Array.make clients None in
+      Clusterfs.Topology.run_clients t (fun c ->
+          let id = c.Clusterfs.Topology.id in
+          let mount = Clusterfs.Topology.shard t c (client_path id) in
+          results.(id) <-
+            Some
+              (Workload.Iobench.run_phase (Workload.Handle.Remote mount)
+                 (cfg id) phase));
+      Clusterfs.Experiments.cool_server_files t cfg;
+      let results = Array.map Option.get results in
+      let bytes =
+        Array.fold_left
+          (fun a r -> a + r.Workload.Iobench.bytes_moved)
+          0 results
       in
-      match phases with
-      | Error e ->
-          prerr_endline e;
-          1
-      | Ok phases ->
-          let net =
-            {
-              Net.default_config with
-              Net.bandwidth = bandwidth_kb * 1000;
-              latency = Sim.Time.us latency_us;
-              loss;
-            }
-          in
-          Printf.printf
-            "server%s: config %s, %d nfsd; %d client%s, %d KB/s %s, %d us \
-             latency, %.2f%% loss, %s transport\n"
-            (if servers = 1 then "" else Printf.sprintf "s x%d" servers)
-            (String.uppercase_ascii config_name)
-            nfsd clients
-            (if clients = 1 then "" else "s")
-            bandwidth_kb
-            (match topology with
-            | Clusterfs.Topology.Point_to_point -> "links"
-            | Clusterfs.Topology.Shared_medium -> "shared wire"
-            | Clusterfs.Topology.Switched -> "switched fabric")
-            latency_us (loss *. 100.)
-            (match transport with
-            | Nfs.Rpc.Fixed -> "fixed-timeout"
-            | Nfs.Rpc.Adaptive -> "adaptive");
-          let t =
-            Clusterfs.Topology.create ~net ~seed ~topology ~transport ~nfsd
-              ?biods ?ra_depth ~servers ?ports_buffer ~clients config
-          in
-          let engine = Clusterfs.Topology.engine t in
-          let cfg id =
-            {
-              Workload.Iobench.default_config with
-              Workload.Iobench.file_mb;
-              path = client_path id;
-            }
-          in
-          (* non-FSW-first phase lists need the files to exist *)
-          (match phases with
-          | Workload.Iobench.FSW :: _ -> ()
-          | _ ->
-              Clusterfs.Topology.run_clients t (fun c ->
-                  let id = c.Clusterfs.Topology.id in
-                  Workload.Remote_iobench.prepare
-                    (Clusterfs.Topology.shard t c (client_path id))
-                    (cfg id));
-              cool_all t clients);
-          Printf.printf "\n%-6s %12s %12s %12s %12s\n" "phase" "agg KB/s"
-            "KB/s min" "KB/s mean" "KB/s max";
-          List.iter
-            (fun phase ->
-              let results =
-                Array.make clients
-                  {
-                    Workload.Iobench.kind = phase;
-                    bytes_moved = 0;
-                    elapsed = Sim.Time.zero;
-                    kb_per_sec = 0.;
-                    sys_cpu = Sim.Time.zero;
-                  }
-              in
-              Clusterfs.Topology.run_clients t (fun c ->
-                  let id = c.Clusterfs.Topology.id in
-                  results.(id) <-
-                    Workload.Remote_iobench.run_phase ~engine
-                      ~cpu:c.Clusterfs.Topology.cpu
-                      (Clusterfs.Topology.shard t c (client_path id))
-                      (cfg id) phase);
-              cool_all t clients;
-              let bytes =
-                Array.fold_left
-                  (fun a r -> a + r.Workload.Iobench.bytes_moved)
-                  0 results
-              in
-              let window =
-                Array.fold_left
-                  (fun a r -> max a r.Workload.Iobench.elapsed)
-                  Sim.Time.zero results
-              in
-              let rates =
-                Array.map (fun r -> r.Workload.Iobench.kb_per_sec) results
-              in
-              let agg =
-                if window = Sim.Time.zero then 0.
-                else float_of_int bytes /. 1024. /. Sim.Time.to_sec_float window
-              in
-              Printf.printf "%-6s %12.0f %12.0f %12.0f %12.0f\n"
-                (Workload.Iobench.kind_to_string phase)
-                agg
-                (Array.fold_left min rates.(0) rates)
-                (Array.fold_left ( +. ) 0. rates /. float_of_int clients)
-                (Array.fold_left max rates.(0) rates))
-            phases;
-          if verbose then begin
-            Array.iter
-              (fun c ->
-                let id = c.Clusterfs.Topology.id in
-                let calls, retrans, late =
-                  Array.fold_left
-                    (fun (cl, rt, lt) m ->
-                      let r = Nfs.Rpc.stats m.Clusterfs.Topology.m_rpc in
-                      ( cl + r.Nfs.Rpc.calls,
-                        rt + r.Nfs.Rpc.retransmits,
-                        lt + r.Nfs.Rpc.late_replies ))
-                    (0, 0, 0) c.Clusterfs.Topology.mounts
-                in
-                let hits, misses, rai, rau, gath, dsl =
-                  Array.fold_left
-                    (fun (h, m, ri, ru, g, d) mp ->
-                      let s = Nfs.Client.stats mp.Clusterfs.Topology.m_mount in
-                      ( h + s.Nfs.Client.cache_hits,
-                        m + s.Nfs.Client.cache_misses,
-                        ri + s.Nfs.Client.ra_issued,
-                        ru + s.Nfs.Client.ra_used,
-                        g + s.Nfs.Client.write_gathers,
-                        d + s.Nfs.Client.dirty_sleeps ))
-                    (0, 0, 0, 0, 0, 0) c.Clusterfs.Topology.mounts
-                in
-                (match Clusterfs.Topology.client_link c with
-                | Some link ->
-                    let l = Net.stats link in
-                    Printf.printf
-                      "\nclient %d: %d calls (%d retrans, %d late), link %d \
-                       msgs / %d KB, %d drops\n"
-                      id calls retrans late l.Net.msgs_sent
-                      (l.Net.bytes_sent / 1024) l.Net.drops
-                | None ->
-                    Printf.printf "\nclient %d: %d calls (%d retrans, %d late)\n"
-                      id calls retrans late);
-                Printf.printf
-                  "  cache: %d hits / %d misses, ra %d issued (%d used), %d \
-                   gathers, %d dirty sleeps\n"
-                  hits misses rai rau gath dsl)
-              t.Clusterfs.Topology.clients;
-            Array.iteri
-              (fun j svc ->
-                let sv = Nfs.Server.stats svc in
-                Printf.printf
-                  "\nserver %d: %d calls received, %d dup hits, %d busy drops, \
-                   queue wait %.2f ms mean\n"
-                  j sv.Nfs.Server.received sv.Nfs.Server.dup_hits
-                  sv.Nfs.Server.dup_busy_drops
-                  (Sim.Stats.Summary.mean sv.Nfs.Server.queue_wait_us /. 1000.);
-                List.iter
-                  (fun op ->
-                    let n = Nfs.Server.applied svc op in
-                    if n > 0 then Printf.printf "  %-8s applied %6d\n" op n)
-                  Nfs.Proto.op_names)
-              t.Clusterfs.Topology.services;
-            match Clusterfs.Topology.switch t with
-            | Some sw ->
-                let st = Net.Switch.stats sw in
-                Printf.printf
-                  "\nswitch: %d frames, %d overflow drops, occupancy high-water \
-                   %d, max port util %.1f%%\n"
-                  st.Net.Switch.frames_sent st.Net.Switch.overflows
-                  st.Net.Switch.occ_hwm
-                  (Net.Switch.max_port_utilization sw *. 100.)
-            | None -> ()
-          end;
-          0)
-
-let config_t =
-  Arg.(
-    value & opt string "a" & info [ "config"; "c" ] ~doc:"Paper config: a, b, c or d.")
-
-let clients_t =
-  Arg.(value & opt int 1 & info [ "clients" ] ~doc:"Number of client nodes.")
-
-let servers_t =
-  Arg.(
-    value & opt int 1
-    & info [ "servers" ]
-        ~doc:
-          "Number of server machines; the namespace is spread across them \
-           by a hash of the path.")
+      let window =
+        Array.fold_left
+          (fun a r -> max a r.Workload.Iobench.elapsed)
+          Sim.Time.zero results
+      in
+      let rates = Array.map (fun r -> r.Workload.Iobench.kb_per_sec) results in
+      Printf.printf "%-6s %12.0f %12.0f %12.0f %12.0f\n"
+        (Workload.Iobench.kind_to_string phase)
+        (Workload.Iobench.kb_per_sec bytes window)
+        (Array.fold_left min rates.(0) rates)
+        (Array.fold_left ( +. ) 0. rates /. float_of_int clients)
+        (Array.fold_left max rates.(0) rates))
+    phases;
+  if verbose then begin
+    Array.iter
+      (fun c ->
+        let id = c.Clusterfs.Topology.id in
+        let calls, retrans, late =
+          Array.fold_left
+            (fun (cl, rt, lt) m ->
+              let r = Nfs.Rpc.stats m.Clusterfs.Topology.m_rpc in
+              ( cl + r.Nfs.Rpc.calls,
+                rt + r.Nfs.Rpc.retransmits,
+                lt + r.Nfs.Rpc.late_replies ))
+            (0, 0, 0) c.Clusterfs.Topology.mounts
+        in
+        let hits, misses, rai, rau, gath, dsl =
+          Array.fold_left
+            (fun (h, m, ri, ru, g, d) mp ->
+              let s = Nfs.Client.stats mp.Clusterfs.Topology.m_mount in
+              ( h + s.Nfs.Client.cache_hits,
+                m + s.Nfs.Client.cache_misses,
+                ri + s.Nfs.Client.ra_issued,
+                ru + s.Nfs.Client.ra_used,
+                g + s.Nfs.Client.write_gathers,
+                d + s.Nfs.Client.dirty_sleeps ))
+            (0, 0, 0, 0, 0, 0) c.Clusterfs.Topology.mounts
+        in
+        (match Clusterfs.Topology.client_link c with
+        | Some link ->
+            let l = Net.stats link in
+            Printf.printf
+              "\nclient %d: %d calls (%d retrans, %d late), link %d \
+               msgs / %d KB, %d drops\n"
+              id calls retrans late l.Net.msgs_sent
+              (l.Net.bytes_sent / 1024) l.Net.drops
+        | None ->
+            Printf.printf "\nclient %d: %d calls (%d retrans, %d late)\n"
+              id calls retrans late);
+        Printf.printf
+          "  cache: %d hits / %d misses, ra %d issued (%d used), %d \
+           gathers, %d dirty sleeps\n"
+          hits misses rai rau gath dsl)
+      t.Clusterfs.Topology.clients;
+    Array.iteri
+      (fun j svc ->
+        let sv = Nfs.Server.stats svc in
+        Printf.printf
+          "\nserver %d: %d calls received, %d dup hits, %d busy drops, \
+           queue wait %.2f ms mean\n"
+          j sv.Nfs.Server.received sv.Nfs.Server.dup_hits
+          sv.Nfs.Server.dup_busy_drops
+          (Sim.Stats.Summary.mean sv.Nfs.Server.queue_wait_us /. 1000.);
+        List.iter
+          (fun op ->
+            let n = Nfs.Server.applied svc op in
+            if n > 0 then Printf.printf "  %-8s applied %6d\n" op n)
+          Nfs.Proto.op_names)
+      t.Clusterfs.Topology.services;
+    match Clusterfs.Topology.switch t with
+    | Some sw ->
+        let st = Net.Switch.stats sw in
+        Printf.printf
+          "\nswitch: %d frames, %d overflow drops, occupancy high-water \
+           %d, max port util %.1f%%\n"
+          st.Net.Switch.frames_sent st.Net.Switch.overflows
+          st.Net.Switch.occ_hwm
+          (Net.Switch.max_port_utilization sw *. 100.)
+    | None -> ()
+  end;
+  0
 
 let nfsd_t =
   Arg.(value & opt int 4 & info [ "nfsd" ] ~doc:"Server worker pool size.")
@@ -300,37 +191,14 @@ let seed_t =
 let transport_t =
   Arg.(
     value
-    & opt string "fixed"
+    & opt
+        (Cli.choice "transport"
+           [ ("fixed", Nfs.Rpc.Fixed); ("adaptive", Nfs.Rpc.Adaptive) ])
+        Nfs.Rpc.Fixed
     & info [ "transport" ]
         ~doc:
           "RPC retransmission strategy: fixed (NFSv2 timers) or adaptive \
            (srtt/rttvar RTO + AIMD congestion window).")
-
-let topology_t =
-  Arg.(
-    value
-    & opt string "p2p"
-    & info [ "topology" ]
-        ~doc:
-          "Network wiring: p2p (a private link per client), shared (one \
-           Ethernet-class medium all stations contend for) or switched (a \
-           store-and-forward switch with a full-duplex port per machine).")
-
-let ports_buffer_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "ports-buffer" ]
-        ~doc:
-          "Switch output-port buffer in frames (default 64); overflowing \
-           frames are tail-dropped.")
-
-let phases_t =
-  Arg.(
-    value
-    & opt (list string) []
-    & info [ "phases" ]
-        ~doc:"Comma-separated subset of fsw,fsu,fsr,frr,fru (default fsw,fsr).")
 
 let verbose_t =
   Arg.(
@@ -342,8 +210,10 @@ let cmd =
   Cmd.v
     (Cmd.info "nfsbench" ~doc)
     Term.(
-      const run $ config_t $ clients_t $ servers_t $ nfsd_t $ biods_t
-      $ ra_depth_t $ file_mb_t $ bandwidth_t $ latency_t $ loss_t $ seed_t
-      $ transport_t $ topology_t $ ports_buffer_t $ phases_t $ verbose_t)
+      const run $ Cli.config $ Cli.clients ~default:1 $ Cli.servers $ nfsd_t
+      $ biods_t $ ra_depth_t $ file_mb_t $ bandwidth_t $ latency_t $ loss_t
+      $ seed_t $ transport_t $ Cli.topology $ Cli.ports_buffer
+      $ Cli.phases ~default:[ Workload.Iobench.FSW; FSR ]
+      $ verbose_t)
 
 let () = exit (Cmd.eval' cmd)

@@ -15,12 +15,19 @@ let paper_figure10 =
     { config = "D"; fsr = 749.; fsu = 722.; fsw = 718.; frr = 370.; fru = 545. };
   ]
 
+(* IObench phases on a machine's own file system *)
+let local_phase fs = Workload.Iobench.run_phase (Workload.Handle.Local fs)
+let local_prepare fs = Workload.Iobench.prepare (Workload.Handle.Local fs)
+
 let run_iobench (config : Config.t) ~file_mb ~random_ops =
   let m = Machine.create config in
   let cfg =
     { Workload.Iobench.default_config with Workload.Iobench.file_mb; random_ops }
   in
-  let results = Machine.run m (fun m -> Workload.Iobench.run_all m.Machine.fs cfg) in
+  let results =
+    Machine.run m (fun m ->
+        Workload.Iobench.run_all (Workload.Handle.Local m.Machine.fs) cfg)
+  in
   let rate k =
     match
       List.find_opt (fun r -> r.Workload.Iobench.kind = k) results
@@ -68,8 +75,8 @@ let cpu_utilization ?(file_mb = 16) () =
           let cfg =
             { Workload.Iobench.default_config with Workload.Iobench.file_mb }
           in
-          Workload.Iobench.prepare fs cfg;
-          let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
+          local_prepare fs cfg;
+          let r = local_phase fs cfg Workload.Iobench.FSR in
           ( config.Config.name,
             r.Workload.Iobench.kb_per_sec,
             float_of_int r.Workload.Iobench.sys_cpu
@@ -93,7 +100,7 @@ let mmap_cpu (config : Config.t) ~file_mb =
       let cfg =
         { Workload.Iobench.default_config with Workload.Iobench.file_mb }
       in
-      Workload.Iobench.prepare fs cfg;
+      local_prepare fs cfg;
       Workload.Mmap_bench.run fs ~path:cfg.Workload.Iobench.path ~file_mb)
 
 let figure12 ?(file_mb = 16) () =
@@ -160,8 +167,8 @@ let io_pattern_of (config : Config.t) ~file_mb =
       let cfg =
         { Workload.Iobench.default_config with Workload.Iobench.file_mb }
       in
-      ignore (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW);
-      ignore (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR);
+      ignore (local_phase fs cfg Workload.Iobench.FSW);
+      ignore (local_phase fs cfg Workload.Iobench.FSR);
       let s = fs.Ufs.Types.stats in
       let reads = s.Ufs.Types.pgin_ios + s.Ufs.Types.ra_ios in
       let read_blocks = s.Ufs.Types.pgin_blocks + s.Ufs.Types.ra_blocks in
@@ -193,8 +200,8 @@ let seq_rates (config : Config.t) ~file_mb =
       let cfg =
         { Workload.Iobench.default_config with Workload.Iobench.file_mb }
       in
-      let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-      let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
+      let w = local_phase fs cfg Workload.Iobench.FSW in
+      let r = local_phase fs cfg Workload.Iobench.FSR in
       (r.Workload.Iobench.kb_per_sec, w.Workload.Iobench.kb_per_sec))
 
 let cluster_size_sweep ?(file_mb = 16)
@@ -228,8 +235,8 @@ let write_limit_sweep ?(file_mb = 16)
             let cfg =
               { Workload.Iobench.default_config with Workload.Iobench.file_mb }
             in
-            let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-            let u = Workload.Iobench.run_phase fs cfg Workload.Iobench.FRU in
+            let w = local_phase fs cfg Workload.Iobench.FSW in
+            let u = local_phase fs cfg Workload.Iobench.FRU in
             (u.Workload.Iobench.kb_per_sec, w.Workload.Iobench.kb_per_sec))
       in
       (label, fru, fsw))
@@ -250,8 +257,8 @@ let free_behind_ablation ?(file_mb = 16) () =
             let cfg =
               { Workload.Iobench.default_config with Workload.Iobench.file_mb }
             in
-            Workload.Iobench.prepare fs cfg;
-            let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
+            local_prepare fs cfg;
+            let r = local_phase fs cfg Workload.Iobench.FSR in
             let ps = Vm.Pageout.stats m.Machine.pageout in
             ( r.Workload.Iobench.kb_per_sec,
               ps.Vm.Pageout.scans,
@@ -280,8 +287,8 @@ let driver_clustering_ablation ?(file_mb = 16) () =
         let cfg =
           { Workload.Iobench.default_config with Workload.Iobench.file_mb }
         in
-        let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-        let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
+        let w = local_phase fs cfg Workload.Iobench.FSW in
+        let r = local_phase fs cfg Workload.Iobench.FSR in
         let coalesced = (Disk.Blkdev.stats m.Machine.dev).Disk.Blkdev.coalesced in
         ( label,
           r.Workload.Iobench.kb_per_sec,
@@ -395,8 +402,8 @@ let extent_fs_comparison ?(file_mb = 16) ?(extent_sizes_kb = [ 8; 56; 120; 1024 
           let cfg =
             { Workload.Iobench.default_config with Workload.Iobench.file_mb }
           in
-          let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-          let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
+          let w = local_phase fs cfg Workload.Iobench.FSW in
+          let r = local_phase fs cfg Workload.Iobench.FSR in
           (r.Workload.Iobench.kb_per_sec, w.Workload.Iobench.kb_per_sec))
     in
     (label, r, w)
@@ -417,7 +424,7 @@ let request_size_sweep ?(file_mb = 8) ?(sizes_kb = [ 1; 2; 4; 8; 16; 32; 64 ])
           let cfg =
             { Workload.Iobench.default_config with Workload.Iobench.file_mb }
           in
-          Workload.Iobench.prepare fs cfg;
+          local_prepare fs cfg;
           let ip = Ufs.Fs.namei fs cfg.Workload.Iobench.path in
           let engine = m.Machine.engine in
           let req = kb * 1024 in
@@ -500,7 +507,7 @@ let zoned_disk ?(file_mb = 8) () =
         done;
         Ufs.Fs.fsync fs ip;
         Ufs.Iops.iput fs ip;
-        (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR)
+        (local_phase fs cfg Workload.Iobench.FSR)
           .Workload.Iobench.kb_per_sec
       in
       let outer = bench "/outer" in
@@ -554,7 +561,7 @@ let future_work_ablation ?(file_mb = 16) () =
           let cfg =
             { Workload.Iobench.default_config with Workload.Iobench.file_mb }
           in
-          Workload.Iobench.prepare fs cfg;
+          local_prepare fs cfg;
           let ip = Ufs.Fs.namei fs "/iobench" in
           let rng = Sim.Rng.create ~seed:3 in
           let req = 24 * 1024 in
@@ -604,8 +611,8 @@ let vol_stripe_sweep ?(file_mb = 8) ?(disk_counts = [ 1; 2; 4 ])
         let cfg =
           { Workload.Iobench.default_config with Workload.Iobench.file_mb }
         in
-        let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-        let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
+        let w = local_phase fs cfg Workload.Iobench.FSW in
+        let r = local_phase fs cfg Workload.Iobench.FSR in
         ( base.Config.name,
           disks,
           stripe_kb,
@@ -742,41 +749,83 @@ let nfs_local_pair (config : Config.t) ~file_mb =
   let cfg = { Workload.Iobench.default_config with Workload.Iobench.file_mb } in
   Machine.run m (fun m ->
       let fs = m.Machine.fs in
-      let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-      let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
+      let w = local_phase fs cfg Workload.Iobench.FSW in
+      let r = local_phase fs cfg Workload.Iobench.FSR in
       (r.Workload.Iobench.kb_per_sec, w.Workload.Iobench.kb_per_sec))
 
-(* Drop a file from the *server's* page cache: push its delayed writes,
-   invalidate its pages, reset its read-ahead state.  A remote write
+(* Drop a file from its owning *server's* page cache.  A remote write
    phase leaves the whole file in server RAM; without this a following
    remote read streams from server memory while the local baseline
    reads cold from disk, and "remote vs local" measures cache warmth
    instead of wire cost. *)
-let cool_server_file ?(server = 0) t path =
+let cool_server_file t path =
   Topology.run t (fun t ->
-      let fs = t.Topology.servers.(server).Machine.fs in
-      let ip = Ufs.Fs.namei fs path in
-      Workload.Iobench.reset_file_state fs ip;
-      Ufs.Iops.iput fs ip)
+      let server = t.Topology.servers.(Topology.server_of_path t path) in
+      let h =
+        Workload.Handle.open_ (Workload.Handle.Local server.Machine.fs)
+          ~create:false path
+      in
+      Workload.Handle.cold h;
+      Workload.Handle.close h)
+
+let cool_server_files t cfg =
+  Array.iter
+    (fun c -> cool_server_file t (cfg c.Topology.id).Workload.Iobench.path)
+    t.Topology.clients
+
+(* the mount a client reaches its benchmark file through *)
+let remote t c (cfg : Workload.Iobench.config) =
+  Workload.Handle.Remote (Topology.shard t c cfg.Workload.Iobench.path)
+
+let prepare_cold t cfg =
+  Topology.run_clients t (fun c ->
+      let cfg = cfg c.Topology.id in
+      Workload.Iobench.prepare (remote t c cfg) cfg);
+  cool_server_files t cfg
+
+(* One rung of a client ladder: every client streams its file at once.
+   Returns the window's start, its max-finish wall time and the bytes
+   moved. *)
+let concurrent_fsr t cfg =
+  let engine = Topology.engine t in
+  let n = Array.length t.Topology.clients in
+  let t_start = Sim.Engine.now engine in
+  let finishes = Array.make n Sim.Time.zero in
+  let bytes = Array.make n 0 in
+  Topology.run_clients t (fun c ->
+      let id = c.Topology.id in
+      let cfg = cfg id in
+      let r =
+        Workload.Iobench.run_phase (remote t c cfg) cfg Workload.Iobench.FSR
+      in
+      bytes.(id) <- r.Workload.Iobench.bytes_moved;
+      finishes.(id) <- Sim.Engine.now engine);
+  ( t_start,
+    Array.fold_left max Sim.Time.zero finishes - t_start,
+    Array.fold_left ( + ) 0 bytes )
+
+(* client [id]'s file on a ladder rung: [<prefix><id>] *)
+let rung_cfg ~file_mb prefix id =
+  {
+    Workload.Iobench.default_config with
+    Workload.Iobench.file_mb;
+    path = Printf.sprintf "%s%d" prefix id;
+  }
 
 let nfs_remote_pair (config : Config.t) ~file_mb ~net =
   let t = Topology.create ~net ~clients:1 config in
   let cfg = { Workload.Iobench.default_config with Workload.Iobench.file_mb } in
-  let engine = Topology.engine t in
+  let run c k =
+    Workload.Iobench.run_phase (Workload.Handle.Remote c.Topology.mount) cfg k
+  in
   let w_out = ref 0. in
   Topology.run_clients t (fun c ->
-      let w =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          c.Topology.mount cfg Workload.Iobench.FSW
-      in
+      let w = run c Workload.Iobench.FSW in
       w_out := w.Workload.Iobench.kb_per_sec);
   cool_server_file t cfg.Workload.Iobench.path;
   let out = ref (0., 0., 0, 0, 0) in
   Topology.run_clients t (fun c ->
-      let r =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          c.Topology.mount cfg Workload.Iobench.FSR
-      in
+      let r = run c Workload.Iobench.FSR in
       let st = Nfs.Client.stats c.Topology.mount in
       out :=
         ( r.Workload.Iobench.kb_per_sec,
@@ -840,39 +889,12 @@ let nfs_scaling ?(file_mb = 2) ?(nfsd = 4) ?(net = nfs_scale_net)
   let t =
     Topology.create ~net ~nfsd ~rpc_timeout:(Sim.Time.ms 4000) ~clients config
   in
-  let engine = Topology.engine t in
-  let scale_cfg id =
-    {
-      Workload.Iobench.default_config with
-      Workload.Iobench.file_mb;
-      path = Printf.sprintf "/scale%d" id;
-    }
-  in
-  Topology.run_clients t (fun c ->
-      Workload.Remote_iobench.prepare c.Topology.mount
-        (scale_cfg c.Topology.id));
-  for id = 0 to clients - 1 do
-    cool_server_file t (scale_cfg id).Workload.Iobench.path
-  done;
+  let cfg = rung_cfg ~file_mb "/scale" in
+  prepare_cold t cfg;
   (* all streams spawn at the same instant, so the timed window holds
      exactly [clients] concurrent readers against a cold server *)
-  let t_start = Sim.Engine.now engine in
-  let finishes = Array.make clients Sim.Time.zero in
-  let bytes = Array.make clients 0 in
-  Topology.run_clients t (fun c ->
-      let id = c.Topology.id in
-      let r =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          c.Topology.mount (scale_cfg id) Workload.Iobench.FSR
-      in
-      bytes.(id) <- r.Workload.Iobench.bytes_moved;
-      finishes.(id) <- Sim.Engine.now engine);
-  let total_bytes = Array.fold_left ( + ) 0 bytes in
-  let wall = Array.fold_left max Sim.Time.zero finishes - t_start in
-  let aggregate =
-    if wall = 0 then 0.
-    else float_of_int total_bytes /. 1024. /. Sim.Time.to_sec_float wall
-  in
+  let _, wall, total_bytes = concurrent_fsr t cfg in
+  let aggregate = Workload.Iobench.kb_per_sec total_bytes wall in
   let retrans =
     Array.fold_left
       (fun acc c -> acc + (Nfs.Rpc.stats c.Topology.rpc).Nfs.Rpc.retransmits)
@@ -943,26 +965,10 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
       ~rpc_timeout:(Sim.Time.ms 4000) ~servers ~register_clients:false
       ~clients config
   in
-  let engine = Topology.engine t in
-  let fleet_cfg id =
-    {
-      Workload.Iobench.default_config with
-      Workload.Iobench.file_mb;
-      path = Printf.sprintf "/fleet%d" id;
-    }
-  in
-  Topology.run_clients t (fun c ->
-      let cfg = fleet_cfg c.Topology.id in
-      Workload.Remote_iobench.prepare
-        (Topology.shard t c cfg.Workload.Iobench.path)
-        cfg);
-  for id = 0 to clients - 1 do
-    let path = (fleet_cfg id).Workload.Iobench.path in
-    cool_server_file ~server:(Topology.server_of_path t path) t path
-  done;
+  let cfg = rung_cfg ~file_mb "/fleet" in
+  prepare_cold t cfg;
   (* snapshot the busy counters, then hold [clients] concurrent readers
      against cold servers and measure over the max-finish window *)
-  let t_start = Sim.Engine.now engine in
   let cpu0 =
     Array.map (fun m -> Sim.Cpu.sys_time m.Machine.cpu) t.Topology.servers
   in
@@ -981,24 +987,8 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
     | Some ports -> Array.map port_busy ports
     | None -> [||]
   in
-  let finishes = Array.make clients Sim.Time.zero in
-  let bytes = Array.make clients 0 in
-  Topology.run_clients t (fun c ->
-      let id = c.Topology.id in
-      let cfg = fleet_cfg id in
-      let r =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          (Topology.shard t c cfg.Workload.Iobench.path)
-          cfg Workload.Iobench.FSR
-      in
-      bytes.(id) <- r.Workload.Iobench.bytes_moved;
-      finishes.(id) <- Sim.Engine.now engine);
-  let total_bytes = Array.fold_left ( + ) 0 bytes in
-  let wall = Array.fold_left max Sim.Time.zero finishes - t_start in
-  let aggregate =
-    if wall = 0 then 0.
-    else float_of_int total_bytes /. 1024. /. Sim.Time.to_sec_float wall
-  in
+  let _, wall, total_bytes = concurrent_fsr t cfg in
+  let aggregate = Workload.Iobench.kb_per_sec total_bytes wall in
   let fwall = float_of_int (max 1 wall) in
   let util_over f base =
     Array.mapi (fun i m -> float_of_int (f m - base.(i)) /. fwall)
@@ -1125,32 +1115,9 @@ let nfs_congestion_point ?(file_mb = 1) ?(net = nfs_scale_net) ~clients
          (topology_name topology) clients)
   in
   let t = Topology.create ~net ~topology ~transport ~clients config in
-  let engine = Topology.engine t in
-  let cc_cfg id =
-    {
-      Workload.Iobench.default_config with
-      Workload.Iobench.file_mb;
-      path = Printf.sprintf "/cc%d" id;
-    }
-  in
-  Topology.run_clients t (fun c ->
-      Workload.Remote_iobench.prepare c.Topology.mount (cc_cfg c.Topology.id));
-  for id = 0 to clients - 1 do
-    cool_server_file t (cc_cfg id).Workload.Iobench.path
-  done;
-  let t_start = Sim.Engine.now engine in
-  let finishes = Array.make clients Sim.Time.zero in
-  let bytes = Array.make clients 0 in
-  Topology.run_clients t (fun c ->
-      let id = c.Topology.id in
-      let r =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          c.Topology.mount (cc_cfg id) Workload.Iobench.FSR
-      in
-      bytes.(id) <- r.Workload.Iobench.bytes_moved;
-      finishes.(id) <- Sim.Engine.now engine);
-  let total_bytes = Array.fold_left ( + ) 0 bytes in
-  let wall = Array.fold_left max Sim.Time.zero finishes - t_start in
+  let cfg = rung_cfg ~file_mb "/cc" in
+  prepare_cold t cfg;
+  let t_start, wall, total_bytes = concurrent_fsr t cfg in
   let mid = t_start + (wall / 2) in
   let sum f = Array.fold_left (fun a c -> a + f c) 0 t.Topology.clients in
   let sv = Nfs.Server.stats t.Topology.service in
@@ -1159,9 +1126,7 @@ let nfs_congestion_point ?(file_mb = 1) ?(net = nfs_scale_net) ~clients
     cc_clients = clients;
     cc_transport = transport_name transport;
     cc_topology = topology_name topology;
-    cc_goodput_kb_per_sec =
-      (if wall = 0 then 0.
-       else float_of_int total_bytes /. 1024. /. Sim.Time.to_sec_float wall);
+    cc_goodput_kb_per_sec = Workload.Iobench.kb_per_sec total_bytes wall;
     cc_retransmits =
       sum (fun c -> (Nfs.Rpc.stats c.Topology.rpc).Nfs.Rpc.retransmits);
     cc_steady_retransmits =
@@ -1217,7 +1182,6 @@ let nfs_loss ?(file_mb = 1) ?(losses = [ 0.; 0.001; 0.01; 0.05 ]) () =
           ~net:(Net.lossy Net.default_config loss)
           ~clients:1 config
       in
-      let engine = Topology.engine t in
       let cfg =
         {
           Workload.Iobench.default_config with
@@ -1228,8 +1192,8 @@ let nfs_loss ?(file_mb = 1) ?(losses = [ 0.; 0.001; 0.01; 0.05 ]) () =
       let moved = ref 0 in
       let spent = ref Sim.Time.zero in
       let run c k =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          c.Topology.mount cfg k
+        Workload.Iobench.run_phase (Workload.Handle.Remote c.Topology.mount)
+          cfg k
       in
       Topology.run_clients t (fun c ->
           let w = run c Workload.Iobench.FSW in
@@ -1243,9 +1207,7 @@ let nfs_loss ?(file_mb = 1) ?(losses = [ 0.; 0.001; 0.01; 0.05 ]) () =
       let c = t.Topology.clients.(0) in
       {
         loss_pct = loss *. 100.;
-        goodput_kb_per_sec =
-          (if !spent = 0 then 0.
-           else float_of_int !moved /. 1024. /. Sim.Time.to_sec_float !spent);
+        goodput_kb_per_sec = Workload.Iobench.kb_per_sec !moved !spent;
         zl_retransmits = (Nfs.Rpc.stats c.Topology.rpc).Nfs.Rpc.retransmits;
         zl_drops = Topology.client_drops c;
         zl_dup_hits = (Nfs.Server.stats t.Topology.service).Nfs.Server.dup_hits;

@@ -176,6 +176,17 @@ val nfs_local_vs_remote :
     client still clusters — the {e server} is what changes) the gap
     shows where the time went. *)
 
+val prepare_cold : Topology.t -> (int -> Workload.Iobench.config) -> unit
+(** Every client [id] creates and writes its benchmark file [cfg id]
+    through the mount {!Topology.shard} picks for its path (untimed),
+    then {!cool_server_files}. *)
+
+val cool_server_files : Topology.t -> (int -> Workload.Iobench.config) -> unit
+(** Drop every client's benchmark file from its owning server's page
+    cache ({!Workload.Handle.cold} on the server), so the next remote
+    phase pays the same disk reads a local cold-start phase does and
+    "remote vs local" measures wire cost rather than cache warmth. *)
+
 type nfs_scale_row = {
   sc_clients : int;
   sc_nfsd : int;

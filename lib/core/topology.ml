@@ -65,6 +65,7 @@ let create ?(net = Net.default_config) ?(seed = 0)
     ?dirty_limit ?rpc_timeout ?(servers = 1) ?ports_buffer
     ?(register_clients = true) ~clients config =
   if servers < 1 then invalid_arg "Topology.create: servers must be >= 1";
+  if clients < 1 then invalid_arg "Topology.create: clients must be >= 1";
   let server0 = Machine.create config in
   let engine = server0.Machine.engine in
   let machines =

@@ -110,20 +110,6 @@ let to_text t =
 
 (* ---------- json ---------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let jf f =
   if f <> f then "0"
   else if Float.is_integer f then Printf.sprintf "%.0f" f
@@ -133,8 +119,8 @@ let to_json t =
   let b = Buffer.create 2048 in
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   p "{\"name\":\"%s\",\"target\":\"%s\",\"spec\":\"%s\",\n"
-    (json_escape t.spec.Spec.name) (json_escape t.target)
-    (json_escape (Spec.to_string t.spec));
+    (Sim.Json.escape t.spec.Spec.name) (Sim.Json.escape t.target)
+    (Sim.Json.escape (Spec.to_string t.spec));
   p
     "\"aggregate\":{\"ops\":%d,\"bytes\":%d,\"wall_us\":%d,\"iops\":%s,\"bw_kbps\":%s,\"lat_us\":{\"p50\":%s,\"p95\":%s,\"p99\":%s}},\n"
     (total_ops t) (total_bytes t) (wall_us t) (jf (iops t))
@@ -159,7 +145,7 @@ let to_json t =
   List.iteri
     (fun i (phase, _us, pct) ->
       if i > 0 then p ",";
-      p "\"%s\":%s" (json_escape phase) (jf pct))
+      p "\"%s\":%s" (Sim.Json.escape phase) (jf pct))
     (cost_rows t);
   p "}}\n";
   Buffer.contents b

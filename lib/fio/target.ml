@@ -37,24 +37,28 @@ let prewrite (s : Spec.t) ~job ~bytes ~write ~fsync =
 let prewrites (s : Spec.t) ~job =
   Stream.needs_data s && ((not s.Spec.share) || job = 0)
 
-let local (m : Clusterfs.Machine.t) =
-  let fs = m.Clusterfs.Machine.fs in
-  let prepare ~job (s : Spec.t) =
-    let path = "/" ^ job_name s ~job in
-    let ip =
-      (* jobs > 0 of a shared spec must not truncate what job 0 built *)
-      if s.Spec.share && job > 0 then Ufs.Fs.namei fs path
-      else Ufs.Fs.creat fs path
-    in
-    let read ~off ~buf ~len = Ufs.Fs.read fs ip ~off ~buf ~len in
-    let write ~off ~buf ~len = Ufs.Fs.write fs ip ~off ~buf ~len in
-    let fsync () = Ufs.Fs.fsync fs ip in
-    if prewrites s ~job then begin
-      prewrite s ~job ~bytes:(Spec.span s) ~write ~fsync;
-      Workload.Iobench.reset_file_state fs ip
-    end;
-    { read; write; fsync }
+(* The job's closures over its open file.  A file that needs data gets
+   it here, then goes cold — on a remote target only the client cache
+   drops; the server's page cache stays warm, as the mount's
+   second-level cache is part of what NFS runs measure.  The file is
+   never closed: the closures use it for the rest of the run. *)
+let open_job target (s : Spec.t) ~job path =
+  (* jobs > 0 of a shared spec must not truncate what job 0 built *)
+  let h =
+    Workload.Handle.open_ target ~create:(not (s.Spec.share && job > 0)) path
   in
+  let read ~off ~buf ~len = Workload.Handle.read h ~off ~buf ~len in
+  let write ~off ~buf ~len = Workload.Handle.write h ~off ~buf ~len in
+  let fsync () = Workload.Handle.fsync h in
+  if prewrites s ~job then begin
+    prewrite s ~job ~bytes:(Spec.span s) ~write ~fsync;
+    Workload.Handle.cold h
+  end;
+  { read; write; fsync }
+
+let local (m : Clusterfs.Machine.t) =
+  let target = Workload.Handle.Local m.Clusterfs.Machine.fs in
+  let prepare ~job s = open_job target s ~job ("/" ^ job_name s ~job) in
   { kind = "local"; engine = m.Clusterfs.Machine.engine; prepare }
 
 let remote (topo : Clusterfs.Topology.t) =
@@ -72,23 +76,7 @@ let remote (topo : Clusterfs.Topology.t) =
       if s.Spec.share then Clusterfs.Topology.shard topo c (job_name s ~job)
       else Clusterfs.Topology.mount_of c ~server:(job mod nsrv)
     in
-    let f =
-      if s.Spec.share && job > 0 then
-        match Nfs.Client.lookup mount (job_name s ~job) with
-        | Some f -> f
-        | None -> failwith "fio: shared file not prepared"
-      else Nfs.Client.create mount (job_name s ~job)
-    in
-    let read ~off ~buf ~len = Nfs.Client.read f ~off ~buf ~len in
-    let write ~off ~buf ~len = Nfs.Client.write f ~off ~buf ~len in
-    let fsync () = Nfs.Client.fsync f in
-    if prewrites s ~job then begin
-      prewrite s ~job ~bytes:(Spec.span s) ~write ~fsync;
-      (* cold client cache; the server's page cache stays warm — it is
-         the mount's second-level cache, part of what NFS runs measure *)
-      Nfs.Client.invalidate f
-    end;
-    { read; write; fsync }
+    open_job (Workload.Handle.Remote mount) s ~job (job_name s ~job)
   in
   {
     kind = "remote";

@@ -10,6 +10,10 @@
     its one file behind client 0's mount to whichever server the
     namespace hash ({!Clusterfs.Topology.shard}) assigns the path.
 
+    Both targets open their files through {!Workload.Handle}, the
+    handle IObench runs on, so "drop the caches the target controls"
+    means the same {!Workload.Handle.cold} in both benchmarks.
+
     All functions must run inside a simulation process. *)
 
 type file = {

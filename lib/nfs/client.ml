@@ -287,6 +287,9 @@ let mount engine ~cpu ~rpc ?(biods = 4) ?(cluster_bytes = 120 * 1024)
   done;
   t
 
+let engine t = t.engine
+let cpu t = t.cpu
+
 let mk_file t ~fh ~name ~(attr : Proto.attr) =
   let f =
     {

@@ -46,6 +46,11 @@ val mount :
     240 KB dirty cap, 3 s attribute TTL, 1024 cached pages (8 MB),
     32 directory entries requested per READDIR page. *)
 
+val engine : t -> Sim.Engine.t
+
+val cpu : t -> Sim.Cpu.t
+(** The client machine's CPU, charged for the mount's system time. *)
+
 type file
 
 val create : t -> string -> file

@@ -5,8 +5,8 @@
     the regression-gate and trace-shape tooling — the toolchain has no
     JSON dependency, and pulling one in for a reader would be heavier
     than the reader.  Numbers are parsed as floats (the exports only
-    contain numbers a float holds exactly); no serializer is provided
-    because writers already exist where they are needed. *)
+    contain numbers a float holds exactly).  There is no serializer:
+    each writer prints its own document, sharing only {!escape}. *)
 
 type t =
   | Null
@@ -27,3 +27,8 @@ val to_list : t -> t list
 
 val num : t -> float option
 val str : t -> string option
+
+val escape : string -> string
+(** The body of a JSON string literal (no surrounding quotes): quote,
+    backslash, newline and tab as two-character escapes, other control
+    characters as [\u00XX]. *)

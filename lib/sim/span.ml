@@ -279,24 +279,9 @@ let export_roots r =
 
 (* ---------- Chrome trace-event export ---------- *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let attr_json = function
   | I n -> string_of_int n
-  | S s -> Printf.sprintf "\"%s\"" (esc s)
+  | S s -> Printf.sprintf "\"%s\"" (Json.escape s)
   | B b -> if b then "true" else "false"
 
 let split_track track =
@@ -346,14 +331,14 @@ let to_chrome r =
       event
         (Printf.sprintf
            "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}"
-           p (esc proc)))
+           p (Json.escape proc)))
     (List.rev !pid_order);
   List.iter
     (fun (p, t, thread) ->
       event
         (Printf.sprintf
            "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-           p t (esc thread)))
+           p t (Json.escape thread)))
     (List.rev !tid_order);
   (* each track's slices in time order: trees from separate runs in one
      recorder session (a local and a remote run both owning "fio.job0")
@@ -385,13 +370,14 @@ let to_chrome r =
           (Printf.sprintf "\"trace\":%d,\"span\":%d,\"parent\":%d" s.trace_id
              s.span_id s.parent_id
           :: List.map
-               (fun (k, v) -> Printf.sprintf "\"%s\":%s" (esc k) (attr_json v))
+               (fun (k, v) ->
+                 Printf.sprintf "\"%s\":%s" (Json.escape k) (attr_json v))
                s.attrs)
       in
       event
         (Printf.sprintf
            "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"dur\":%d,\"name\":\"%s\",\"cat\":\"sim\",\"args\":{%s}}"
-           p t s.start_us (duration s) (esc s.name) args))
+           p t s.start_us (duration s) (Json.escape s.name) args))
     slices;
   Buffer.add_string b "]}\n";
   Buffer.contents b

@@ -26,29 +26,22 @@ type result = {
   sys_cpu : Sim.Time.t;
 }
 
-(* Start a phase cold: drop the file's cached pages and predictor state,
-   as if this were a fresh benchmark run on a warm system. *)
-let reset_file_state (fs : Ufs.Types.fs) (ip : Ufs.Types.inode) =
-  Ufs.Putpage.push_delayed fs ip ~sync:true ();
-  Ufs.Io.wait_writes fs ip;
-  Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
-  Ufs.Rstream.reset ip.Ufs.Types.rs;
-  ip.Ufs.Types.bmap_cache <- None
+let kb_per_sec bytes elapsed =
+  if elapsed = 0 then 0.
+  else float_of_int bytes /. 1024. /. Sim.Time.to_sec_float elapsed
 
-let measure (fs : Ufs.Types.fs) kind f =
-  let engine = fs.Ufs.Types.engine in
+let measure target kind f =
+  let engine = Handle.engine target and cpu = Handle.cpu target in
   let t0 = Sim.Engine.now engine in
-  let c0 = Sim.Cpu.sys_time fs.Ufs.Types.cpu in
+  let c0 = Sim.Cpu.sys_time cpu in
   let bytes = f () in
   let elapsed = Sim.Engine.now engine - t0 in
-  let sys_cpu = Sim.Cpu.sys_time fs.Ufs.Types.cpu - c0 in
+  let sys_cpu = Sim.Cpu.sys_time cpu - c0 in
   {
     kind;
     bytes_moved = bytes;
     elapsed;
-    kb_per_sec =
-      (if elapsed = 0 then 0.
-       else float_of_int bytes /. 1024. /. Sim.Time.to_sec_float elapsed);
+    kb_per_sec = kb_per_sec bytes elapsed;
     sys_cpu;
   }
 
@@ -57,25 +50,25 @@ let measure (fs : Ufs.Types.fs) kind f =
    effects the paper discusses (the elevator sorting an unthrottled
    random-update stream into near-sequential order) happen during the
    drain. *)
-let seq_write fs ip cfg ~fill =
+let seq_write h cfg ~fill =
   let total = cfg.file_mb * 1024 * 1024 in
   let buf = Bytes.make cfg.request_bytes fill in
   let rec loop off =
     if off < total then begin
-      Ufs.Fs.write fs ip ~off ~buf ~len:cfg.request_bytes;
+      Handle.write h ~off ~buf ~len:cfg.request_bytes;
       loop (off + cfg.request_bytes)
     end
   in
   loop 0;
-  Ufs.Fs.fsync fs ip;
+  Handle.fsync h;
   total
 
-let seq_read fs ip cfg =
+let seq_read h cfg =
   let total = cfg.file_mb * 1024 * 1024 in
   let buf = Bytes.create cfg.request_bytes in
   let rec loop off acc =
     if off < total then begin
-      let n = Ufs.Fs.read fs ip ~off ~buf ~len:cfg.request_bytes in
+      let n = Handle.read h ~off ~buf ~len:cfg.request_bytes in
       loop (off + cfg.request_bytes) (acc + n)
     end
     else acc
@@ -88,55 +81,41 @@ let random_offsets cfg =
   Array.init cfg.random_ops (fun _ ->
       Sim.Rng.int rng nblocks * cfg.request_bytes)
 
-let random_read fs ip cfg =
+let random_read h cfg =
   let buf = Bytes.create cfg.request_bytes in
   Array.fold_left
-    (fun acc off -> acc + Ufs.Fs.read fs ip ~off ~buf ~len:cfg.request_bytes)
+    (fun acc off -> acc + Handle.read h ~off ~buf ~len:cfg.request_bytes)
     0 (random_offsets cfg)
 
-let random_update fs ip cfg =
+let random_update h cfg =
   let buf = Bytes.make cfg.request_bytes 'u' in
   Array.iter
-    (fun off -> Ufs.Fs.write fs ip ~off ~buf ~len:cfg.request_bytes)
+    (fun off -> Handle.write h ~off ~buf ~len:cfg.request_bytes)
     (random_offsets cfg);
-  Ufs.Fs.fsync fs ip;
+  Handle.fsync h;
   cfg.random_ops * cfg.request_bytes
 
-let with_file fs cfg ~create f =
-  let ip =
-    if create then Ufs.Fs.creat fs cfg.path else Ufs.Fs.namei fs cfg.path
-  in
-  Fun.protect
-    ~finally:(fun () -> Ufs.Iops.iput fs ip)
-    (fun () -> f ip)
+let with_file target cfg ~create f =
+  let h = Handle.open_ target ~create cfg.path in
+  Fun.protect ~finally:(fun () -> Handle.close h) (fun () -> f h)
 
-let prepare fs cfg =
-  with_file fs cfg ~create:true (fun ip ->
-      ignore (seq_write fs ip cfg ~fill:'p');
-      reset_file_state fs ip)
+let prepare target cfg =
+  with_file target cfg ~create:true (fun h ->
+      ignore (seq_write h cfg ~fill:'p');
+      Handle.cold h)
 
-let run_phase fs cfg kind =
-  match kind with
-  | FSW ->
-      (* fresh allocation: recreate the file *)
-      with_file fs cfg ~create:true (fun ip ->
-          measure fs FSW (fun () -> seq_write fs ip cfg ~fill:'w'))
-  | FSU ->
-      with_file fs cfg ~create:false (fun ip ->
-          reset_file_state fs ip;
-          measure fs FSU (fun () -> seq_write fs ip cfg ~fill:'u'))
-  | FSR ->
-      with_file fs cfg ~create:false (fun ip ->
-          reset_file_state fs ip;
-          measure fs FSR (fun () -> seq_read fs ip cfg))
-  | FRR ->
-      with_file fs cfg ~create:false (fun ip ->
-          reset_file_state fs ip;
-          measure fs FRR (fun () -> random_read fs ip cfg))
-  | FRU ->
-      with_file fs cfg ~create:false (fun ip ->
-          reset_file_state fs ip;
-          measure fs FRU (fun () -> random_update fs ip cfg))
+(* FSW recreates the file (fresh allocation); every other phase reopens
+   it and starts cold *)
+let run_phase target cfg kind =
+  with_file target cfg ~create:(kind = FSW) (fun h ->
+      if kind <> FSW then Handle.cold h;
+      measure target kind (fun () ->
+          match kind with
+          | FSW -> seq_write h cfg ~fill:'w'
+          | FSU -> seq_write h cfg ~fill:'u'
+          | FSR -> seq_read h cfg
+          | FRR -> random_read h cfg
+          | FRU -> random_update h cfg))
 
-let run_all fs cfg =
-  List.map (run_phase fs cfg) [ FSW; FSU; FSR; FRR; FRU ]
+let run_all target cfg =
+  List.map (run_phase target cfg) [ FSW; FSU; FSR; FRR; FRU ]

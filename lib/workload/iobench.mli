@@ -12,9 +12,21 @@
     (and so config "D"'s deep elevator-sorted queue shows its FRU
     advantage, as in the paper).
 
-    Between phases the file's cached pages are invalidated and its
-    read-ahead state reset, so each phase starts cold, like a separate
-    benchmark run.
+    Every phase but FSW starts cold ({!Handle.cold}): the file's cached
+    pages are invalidated and its read-ahead state reset, like a
+    separate benchmark run.
+
+    The phases are written once over a {!Handle.target}, so a run
+    through an {!Nfs.Client} mount issues the identical request stream
+    as a local run (same 8 KB requests, same seeded random offsets) and
+    a remote/local pair isolates exactly the cost of the network hop
+    and what the client-side clustering machinery (biod read-ahead,
+    write-behind gathering) wins back.  Elapsed time and system CPU are
+    measured on the {e client} side of the wire; remote write phases
+    time through {!Nfs.Client.fsync}, so every WRITE RPC is acknowledged
+    inside the measured window.  A remote phase cools only the client
+    cache — cool the server's copy by running {!Handle.cold} on it as a
+    local target.
 
     All functions must run inside a simulation process. *)
 
@@ -40,25 +52,18 @@ type result = {
   sys_cpu : Sim.Time.t;  (** system CPU charged during the phase *)
 }
 
-val reset_file_state : Ufs.Types.fs -> Ufs.Types.inode -> unit
-(** Push the file's delayed writes, drop its cached pages and reset its
-    read-ahead state — the between-phases cold start.  Exported so the
-    NFS experiments can cool the {e server's} cache between remote
-    phases the way local phases cool theirs. *)
+val kb_per_sec : int -> Sim.Time.t -> float
+(** [kb_per_sec bytes elapsed]: the rate every phase reports; 0 over an
+    empty window. *)
 
-val random_offsets : config -> int array
-(** The block-aligned offset sequence of the random phases, derived
-    from [cfg.seed] — exported so remote (NFS) variants replay the
-    exact same access stream. *)
-
-val run_phase : Ufs.Types.fs -> config -> kind -> result
+val run_phase : Handle.target -> config -> kind -> result
 (** Run one phase.  FSU/FSR/FRR/FRU require the file to exist (run FSW
     first, or call {!prepare}). *)
 
-val prepare : Ufs.Types.fs -> config -> unit
-(** Create and fully write the benchmark file (untimed), for running a
-    single non-FSW phase in isolation. *)
+val prepare : Handle.target -> config -> unit
+(** Create and fully write the benchmark file (untimed, fsynced), for
+    running a single non-FSW phase in isolation. *)
 
-val run_all : Ufs.Types.fs -> config -> result list
+val run_all : Handle.target -> config -> result list
 (** FSW, FSU, FSR, FRR, FRU in an order that lets each phase reuse the
     allocation state the paper assumes. *)

@@ -17,13 +17,15 @@ let shrink (c : Clusterfs.Config.t) =
 let bench_cfg =
   { Workload.Iobench.default_config with Workload.Iobench.file_mb = 8; random_ops = 256 }
 
+let phase fs = Workload.Iobench.run_phase (Workload.Handle.Local fs) bench_cfg
+
 let seq_read_rate config =
   let m = Clusterfs.Machine.create (shrink config) in
   let r =
     Clusterfs.Machine.run m (fun m ->
         let fs = m.Clusterfs.Machine.fs in
-        ignore (Workload.Iobench.run_phase fs bench_cfg Workload.Iobench.FSW);
-        Workload.Iobench.run_phase fs bench_cfg Workload.Iobench.FSR)
+        ignore (phase fs Workload.Iobench.FSW);
+        phase fs Workload.Iobench.FSR)
   in
   (m, r.Workload.Iobench.kb_per_sec)
 
@@ -43,8 +45,8 @@ let test_random_reads_unaffected () =
     let m = Clusterfs.Machine.create (shrink config) in
     Clusterfs.Machine.run m (fun m ->
         let fs = m.Clusterfs.Machine.fs in
-        Workload.Iobench.prepare fs bench_cfg;
-        (Workload.Iobench.run_phase fs bench_cfg Workload.Iobench.FRR)
+        Workload.Iobench.prepare (Workload.Handle.Local fs) bench_cfg;
+        (phase fs Workload.Iobench.FRR)
           .Workload.Iobench.kb_per_sec)
   in
   let a = rate Clusterfs.Config.config_a and d = rate Clusterfs.Config.config_d in
@@ -58,8 +60,8 @@ let test_cluster_io_counts () =
     let m = Clusterfs.Machine.create (shrink config) in
     Clusterfs.Machine.run m (fun m ->
         let fs = m.Clusterfs.Machine.fs in
-        ignore (Workload.Iobench.run_phase fs bench_cfg Workload.Iobench.FSW);
-        ignore (Workload.Iobench.run_phase fs bench_cfg Workload.Iobench.FSR);
+        ignore (phase fs Workload.Iobench.FSW);
+        ignore (phase fs Workload.Iobench.FSR);
         let s = fs.Ufs.Types.stats in
         let reads = s.Ufs.Types.pgin_ios + s.Ufs.Types.ra_ios in
         let blocks = s.Ufs.Types.pgin_blocks + s.Ufs.Types.ra_blocks in
@@ -83,7 +85,7 @@ let test_full_machine_determinism () =
     let m = Clusterfs.Machine.create (shrink Clusterfs.Config.config_a) in
     Clusterfs.Machine.run m (fun m ->
         let fs = m.Clusterfs.Machine.fs in
-        ignore (Workload.Iobench.run_all fs bench_cfg);
+        ignore (Workload.Iobench.run_all (Workload.Handle.Local fs) bench_cfg);
         ignore
           (Workload.Musbus.run fs
              { Workload.Musbus.default_config with Workload.Musbus.users = 4; iterations = 6 });
@@ -146,7 +148,7 @@ let test_mixed_workload_fsck_clean () =
 let test_allocator_counts_after_everything () =
   Helpers.in_machine (fun m ->
       let fs = m.Clusterfs.Machine.fs in
-      ignore (Workload.Iobench.run_all fs bench_cfg);
+      ignore (Workload.Iobench.run_all (Workload.Handle.Local fs) bench_cfg);
       Alcotest.(check int)
         "incremental counts still match bitmaps" 0
         (List.length (Ufs.Alloc.check_counts fs)))

@@ -94,6 +94,15 @@ let test_reads_metrics_export () =
       check_bool "float metric" true (J.member "b" m = Some (J.Num 2.5))
   | _ -> Alcotest.fail "sources shape"
 
+(* the one escaper every writer shares must produce what the reader
+   reads back, for every ASCII byte *)
+let test_escape_roundtrip () =
+  let s = String.init 128 Char.chr in
+  check_bool "all ASCII round-trips" true
+    (ok ("\"" ^ J.escape s ^ "\"") = J.Str s);
+  Alcotest.(check string) "short forms" {|q\"b\\n\nt\t\u0001|}
+    (J.escape "q\"b\\n\nt\t\001")
+
 let suites =
   [
     ( "json",
@@ -105,5 +114,7 @@ let suites =
         Alcotest.test_case "errors carry offsets" `Quick test_error_offsets;
         Alcotest.test_case "reads the metrics export" `Quick
           test_reads_metrics_export;
+        Alcotest.test_case "escape round-trips through the reader" `Quick
+          test_escape_roundtrip;
       ] );
   ]

@@ -378,10 +378,10 @@ let test_readahead_clusters () =
   let t = topo () in
   let cfg = stream_config ~file_mb:2 "/seq" in
   T.run_clients t (fun c ->
-      Workload.Remote_iobench.prepare c.T.mount cfg;
+      Workload.Iobench.prepare (Workload.Handle.Remote c.T.mount) cfg;
       let r =
-        Workload.Remote_iobench.run_phase ~engine:(T.engine t) ~cpu:c.T.cpu
-          c.T.mount cfg Workload.Iobench.FSR
+        Workload.Iobench.run_phase (Workload.Handle.Remote c.T.mount) cfg
+          Workload.Iobench.FSR
       in
       check_int "all bytes" (2 * 1024 * 1024) r.Workload.Iobench.bytes_moved;
       let st = Nfs.Client.stats c.T.mount in
@@ -399,11 +399,11 @@ let test_random_reads_fetch_single_blocks () =
     { (stream_config ~file_mb:2 "/rand") with Workload.Iobench.random_ops = 64 }
   in
   T.run_clients t (fun c ->
-      Workload.Remote_iobench.prepare c.T.mount cfg;
+      Workload.Iobench.prepare (Workload.Handle.Remote c.T.mount) cfg;
       let base = (client_link_stats c).Net.bytes_sent in
       let _ =
-        Workload.Remote_iobench.run_phase ~engine:(T.engine t) ~cpu:c.T.cpu
-          c.T.mount cfg Workload.Iobench.FRR
+        Workload.Iobench.run_phase (Workload.Handle.Remote c.T.mount) cfg
+          Workload.Iobench.FRR
       in
       let st = Nfs.Client.stats c.T.mount in
       (* random misses must not drag whole clusters over the wire *)
@@ -421,8 +421,8 @@ let test_write_gathering () =
   let cfg = stream_config ~file_mb:2 "/gather" in
   T.run_clients t (fun c ->
       let r =
-        Workload.Remote_iobench.run_phase ~engine:(T.engine t) ~cpu:c.T.cpu
-          c.T.mount cfg Workload.Iobench.FSW
+        Workload.Iobench.run_phase (Workload.Handle.Remote c.T.mount) cfg
+          Workload.Iobench.FSW
       in
       check_int "all bytes" (2 * 1024 * 1024) r.Workload.Iobench.bytes_moved;
       let writes = Nfs.Rpc.op_calls c.T.rpc "write" in
@@ -725,6 +725,16 @@ let test_sharding_spreads_and_agrees () =
     (fun p -> check_int "single server owns all" 0 (T.server_of_path t1 p))
     paths
 
+(* an empty side of the wire is a configuration error, reported before
+   any machine is built *)
+let test_topology_rejects_empty () =
+  Alcotest.check_raises "no clients"
+    (Invalid_argument "Topology.create: clients must be >= 1") (fun () ->
+      ignore (T.create ~clients:0 Clusterfs.Config.config_a));
+  Alcotest.check_raises "no servers"
+    (Invalid_argument "Topology.create: servers must be >= 1") (fun () ->
+      ignore (T.create ~servers:0 ~clients:1 Clusterfs.Config.config_a))
+
 let test_fleet_write_read_across_servers () =
   let t = topo ~clients:2 ~servers:2 ~topology:T.Switched
       ~transport:Nfs.Rpc.Adaptive () in
@@ -975,5 +985,7 @@ let suites =
           test_adaptive_beats_fixed_at_16;
         Alcotest.test_case "write after a dropped read-ahead placeholder"
           `Quick test_write_after_dropped_placeholder;
+        Alcotest.test_case "topology rejects zero clients or servers" `Quick
+          test_topology_rejects_empty;
       ] );
   ]

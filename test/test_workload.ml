@@ -12,33 +12,62 @@ let small_iobench =
   }
 
 let test_iobench_runs_all_phases () =
-  Helpers.in_machine ~memory_mb:4 (fun m ->
-      let rs = Workload.Iobench.run_all m.Clusterfs.Machine.fs small_iobench in
-      check_int "five phases" 5 (List.length rs);
-      List.iter
-        (fun (r : Workload.Iobench.result) ->
-          check_bool
-            (Printf.sprintf "%s rate positive"
-               (Workload.Iobench.kind_to_string r.Workload.Iobench.kind))
-            true
-            (r.Workload.Iobench.kb_per_sec > 0.);
-          check_bool "time advanced" true (r.Workload.Iobench.elapsed > 0);
-          check_bool "CPU charged" true (r.Workload.Iobench.sys_cpu > 0))
-        rs;
-      let rate k =
-        (List.find (fun (r : Workload.Iobench.result) -> r.Workload.Iobench.kind = k) rs)
-          .Workload.Iobench.kb_per_sec
-      in
-      check_bool "sequential read beats random read" true
-        (rate Workload.Iobench.FSR > rate Workload.Iobench.FRR))
+  let local =
+    Helpers.in_machine ~memory_mb:4 (fun m ->
+        Workload.Iobench.run_all
+          (Workload.Handle.Local m.Clusterfs.Machine.fs)
+          small_iobench)
+  in
+  (* the same five phases through a one-client NFS mount *)
+  let t =
+    Clusterfs.Topology.create ~clients:1
+      (Clusterfs.Config.with_memory_mb Clusterfs.Config.config_a 4)
+  in
+  let remote = ref [] in
+  Clusterfs.Topology.run_clients t (fun c ->
+      remote :=
+        Workload.Iobench.run_all
+          (Workload.Handle.Remote c.Clusterfs.Topology.mount)
+          small_iobench);
+  check_int "five remote phases" 5 (List.length !remote);
+  List.iter2
+    (fun (l : Workload.Iobench.result) (r : Workload.Iobench.result) ->
+      let k = Workload.Iobench.kind_to_string l.Workload.Iobench.kind in
+      check_bool (k ^ " same phase") true
+        (l.Workload.Iobench.kind = r.Workload.Iobench.kind);
+      check_int (k ^ " remote bytes = local bytes")
+        l.Workload.Iobench.bytes_moved r.Workload.Iobench.bytes_moved;
+      check_bool (k ^ " remote time advanced") true
+        (r.Workload.Iobench.elapsed > 0))
+    local !remote;
+  check_int "five phases" 5 (List.length local);
+  List.iter
+    (fun (r : Workload.Iobench.result) ->
+      check_bool
+        (Printf.sprintf "%s rate positive"
+           (Workload.Iobench.kind_to_string r.Workload.Iobench.kind))
+        true
+        (r.Workload.Iobench.kb_per_sec > 0.);
+      check_bool "time advanced" true (r.Workload.Iobench.elapsed > 0);
+      check_bool "CPU charged" true (r.Workload.Iobench.sys_cpu > 0))
+    local;
+  let rate k =
+    (List.find
+       (fun (r : Workload.Iobench.result) -> r.Workload.Iobench.kind = k)
+       local)
+      .Workload.Iobench.kb_per_sec
+  in
+  check_bool "sequential read beats random read" true
+    (rate Workload.Iobench.FSR > rate Workload.Iobench.FRR)
 
 let test_iobench_bytes_accounted () =
   Helpers.in_machine ~memory_mb:4 (fun m ->
-      let fs = m.Clusterfs.Machine.fs in
-      let r = Workload.Iobench.run_phase fs small_iobench Workload.Iobench.FSW in
+      let local = Workload.Handle.Local m.Clusterfs.Machine.fs in
+      let phase = Workload.Iobench.run_phase local small_iobench in
+      let r = phase Workload.Iobench.FSW in
       check_int "FSW moves the whole file" (2 * 1024 * 1024)
         r.Workload.Iobench.bytes_moved;
-      let r = Workload.Iobench.run_phase fs small_iobench Workload.Iobench.FRR in
+      let r = phase Workload.Iobench.FRR in
       check_int "FRR moves ops * request" (64 * 8192)
         r.Workload.Iobench.bytes_moved)
 
@@ -47,7 +76,9 @@ let test_iobench_deterministic () =
     Helpers.in_machine ~memory_mb:4 (fun m ->
         List.map
           (fun (r : Workload.Iobench.result) -> r.Workload.Iobench.elapsed)
-          (Workload.Iobench.run_all m.Clusterfs.Machine.fs small_iobench))
+          (Workload.Iobench.run_all
+             (Workload.Handle.Local m.Clusterfs.Machine.fs)
+             small_iobench))
   in
   Alcotest.(check (list int))
     "bit-for-bit repeatable simulated times" (run ()) (run ())
@@ -55,7 +86,7 @@ let test_iobench_deterministic () =
 let test_mmap_bench () =
   Helpers.in_machine ~memory_mb:4 (fun m ->
       let fs = m.Clusterfs.Machine.fs in
-      Workload.Iobench.prepare fs small_iobench;
+      Workload.Iobench.prepare (Workload.Handle.Local fs) small_iobench;
       let r = Workload.Mmap_bench.run fs ~path:"/iobench" ~file_mb:2 in
       check_bool "CPU charged" true (r.Workload.Mmap_bench.sys_cpu > 0);
       check_bool "rate positive" true (r.Workload.Mmap_bench.kb_per_sec > 0.);
