@@ -70,14 +70,7 @@ let topology =
   let open Clusterfs.Topology in
   Arg.(
     value
-    & opt
-        (choice "topology"
-           [
-             ("p2p", Point_to_point);
-             ("shared", Shared_medium);
-             ("switched", Switched);
-           ])
-        Point_to_point
+    & opt (choice "topology" kind_names) Point_to_point
     & info [ "topology" ]
         ~doc:
           "Network wiring: p2p (a private link per client), shared (one \

@@ -40,6 +40,7 @@ let run (config : Clusterfs.Config.t) clients servers nfsd biods ra_depth
     Clusterfs.Topology.create ~net ~seed ~topology ~transport ~nfsd ?biods
       ?ra_depth ~servers ?ports_buffer ~clients config
   in
+  let fabric = t.Clusterfs.Topology.fabric in
   let cfg id =
     {
       Workload.Iobench.default_config with
@@ -108,9 +109,9 @@ let run (config : Clusterfs.Config.t) clients servers nfsd biods ra_depth
                 d + s.Nfs.Client.dirty_sleeps ))
             (0, 0, 0, 0, 0, 0) c.Clusterfs.Topology.mounts
         in
-        (match Clusterfs.Topology.client_link c with
-        | Some link ->
-            let l = Net.stats link in
+        (* a private link to server 0 (node 0), when the wiring has one *)
+        (match Net.link_stats fabric c.Clusterfs.Topology.node 0 with
+        | Some l ->
             Printf.printf
               "\nclient %d: %d calls (%d retrans, %d late), link %d \
                msgs / %d KB, %d drops\n"
@@ -139,16 +140,13 @@ let run (config : Clusterfs.Config.t) clients servers nfsd biods ra_depth
             if n > 0 then Printf.printf "  %-8s applied %6d\n" op n)
           Nfs.Proto.op_names)
       t.Clusterfs.Topology.services;
-    match Clusterfs.Topology.switch t with
-    | Some sw ->
-        let st = Net.Switch.stats sw in
-        Printf.printf
-          "\nswitch: %d frames, %d overflow drops, occupancy high-water \
-           %d, max port util %.1f%%\n"
-          st.Net.Switch.frames_sent st.Net.Switch.overflows
-          st.Net.Switch.occ_hwm
-          (Net.Switch.max_port_utilization sw *. 100.)
-    | None -> ()
+    if topology = Clusterfs.Topology.Switched then
+      Printf.printf
+        "\nswitch: %d frames, %d overflow drops, occupancy high-water %d, \
+         max port util %.1f%%\n"
+        (Net.frames_sent fabric) (Net.overflows fabric)
+        (Net.occupancy_hwm fabric)
+        (Net.max_port_utilization fabric *. 100.)
   end;
   0
 
@@ -191,10 +189,7 @@ let seed_t =
 let transport_t =
   Arg.(
     value
-    & opt
-        (Cli.choice "transport"
-           [ ("fixed", Nfs.Rpc.Fixed); ("adaptive", Nfs.Rpc.Adaptive) ])
-        Nfs.Rpc.Fixed
+    & opt (Cli.choice "transport" Nfs.Rpc.transport_names) Nfs.Rpc.Fixed
     & info [ "transport" ]
         ~doc:
           "RPC retransmission strategy: fixed (NFSv2 timers) or adaptive \

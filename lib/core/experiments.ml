@@ -592,15 +592,6 @@ let future_work_ablation ?(file_mb = 16) () =
 
 (* ---- volume manager (striping / mirroring) ---- *)
 
-(* Start a file cold, as Iobench does between phases: drain its dirty
-   pages, drop them from the pool and reset the read predictor. *)
-let chill_file (fs : Ufs.Types.fs) (ip : Ufs.Types.inode) =
-  Ufs.Putpage.push_delayed fs ip ~sync:true ();
-  Ufs.Io.wait_writes fs ip;
-  Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
-  Ufs.Rstream.reset ip.Ufs.Types.rs;
-  ip.Ufs.Types.bmap_cache <- None
-
 let vol_stripe_sweep ?(file_mb = 8) ?(disk_counts = [ 1; 2; 4 ])
     ?(stripe_kbs = [ 8; 32; 128 ]) () =
   let row base disks stripe_kb =
@@ -643,17 +634,19 @@ let concurrent_read_kbps (m : Machine.t) ~readers ~file_mb =
   let buf = Bytes.make bsize 'm' in
   List.iter
     (fun path ->
-      let ip = Ufs.Fs.creat fs path in
+      let h =
+        Workload.Handle.open_ (Workload.Handle.Local fs) ~create:true path
+      in
       let rec wloop off =
         if off < per_file then begin
-          Ufs.Fs.write fs ip ~off ~buf ~len:bsize;
+          Workload.Handle.write h ~off ~buf ~len:bsize;
           wloop (off + bsize)
         end
       in
       wloop 0;
-      Ufs.Fs.fsync fs ip;
-      chill_file fs ip;
-      Ufs.Iops.iput fs ip)
+      Workload.Handle.fsync h;
+      Workload.Handle.cold h;
+      Workload.Handle.close h)
     files;
   let done_cond = Sim.Condition.create engine "readers-done" in
   let remaining = ref readers in
@@ -918,15 +911,6 @@ let nfs_scaling ?(file_mb = 2) ?(nfsd = 4) ?(net = nfs_scale_net)
 
 (* ---------- fleet scale: M servers x N clients ---------- *)
 
-let transport_name = function
-  | Nfs.Rpc.Fixed -> "fixed"
-  | Nfs.Rpc.Adaptive -> "adaptive"
-
-let topology_name = function
-  | Topology.Point_to_point -> "p2p"
-  | Topology.Shared_medium -> "shared"
-  | Topology.Switched -> "switched"
-
 type fleet_row = {
   fl_clients : int;
   fl_servers : int;
@@ -958,7 +942,7 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
   let config =
     Config.with_name config
       (Printf.sprintf "%s.fleet.%s.n%d.m%d" config.Config.name
-         (topology_name topology) clients servers)
+         (Topology.kind_name topology) clients servers)
   in
   let t =
     Topology.create ~net ~nfsd ~topology ~transport ?ports_buffer
@@ -978,15 +962,9 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
       0 m.Machine.disks
   in
   let disk0 = Array.map disk_busy t.Topology.servers in
-  let port_busy p =
-    let st = Net.Switch.port_stats p in
-    max st.Net.Switch.up_busy_us st.Net.Switch.down_busy_us
-  in
-  let port0 =
-    match t.Topology.srv_ports with
-    | Some ports -> Array.map port_busy ports
-    | None -> [||]
-  in
+  (* server [s] is fabric node [s] *)
+  let port_busy s = Net.node_busy_us t.Topology.fabric s in
+  let port0 = Array.init servers port_busy in
   let _, wall, total_bytes = concurrent_fsr t cfg in
   let aggregate = Workload.Iobench.kb_per_sec total_bytes wall in
   let fwall = float_of_int (max 1 wall) in
@@ -999,17 +977,13 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
     util_over (fun m -> Sim.Cpu.sys_time m.Machine.cpu) cpu0
   in
   let disk_util = util_over disk_busy disk0 in
+  (* a switch port's busy delta over the window, or a shared wire's
+     whole-run utilization *)
   let port_util =
-    match t.Topology.srv_ports with
-    | Some ports ->
-        Array.mapi
-          (fun i p -> float_of_int (port_busy p - port0.(i)) /. fwall)
-          ports
-        |> Array.fold_left max 0.
-    | None -> (
-        match Topology.medium t with
-        | Some m -> Net.Medium.utilization m
-        | None -> 0.)
+    max
+      (Array.mapi (fun s b -> float_of_int (port_busy s - b) /. fwall) port0
+      |> Array.fold_left max 0.)
+      (Net.utilization t.Topology.fabric)
   in
   let retrans =
     Array.fold_left
@@ -1034,13 +1008,7 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
       (fun acc svc -> acc + (Nfs.Server.stats svc).Nfs.Server.dup_evictions)
       0 t.Topology.services
   in
-  let switch_drops, occ_hwm =
-    match Topology.switch t with
-    | Some sw ->
-        let st = Net.Switch.stats sw in
-        (st.Net.Switch.overflows, st.Net.Switch.occ_hwm)
-    | None -> (0, 0)
-  in
+  let switch_drops = Net.overflows t.Topology.fabric in
   let bottleneck =
     (* drops trump utilization: a dropping switch is shedding the load
        the utilizations never see *)
@@ -1067,7 +1035,7 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
   {
     fl_clients = clients;
     fl_servers = servers;
-    fl_topology = topology_name topology;
+    fl_topology = Topology.kind_name topology;
     fl_aggregate_kb_per_sec = aggregate;
     fl_per_client_kb_per_sec = aggregate /. float_of_int clients;
     fl_retransmits = retrans;
@@ -1076,7 +1044,7 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
     fl_disk_util = disk_util;
     fl_port_util = port_util;
     fl_switch_drops = switch_drops;
-    fl_occ_hwm = occ_hwm;
+    fl_occ_hwm = Net.occupancy_hwm t.Topology.fabric;
     fl_dup_evictions = dup_evictions;
     fl_bottleneck = bottleneck;
   }
@@ -1111,8 +1079,9 @@ let nfs_congestion_point ?(file_mb = 1) ?(net = nfs_scale_net) ~clients
     ~transport ~topology () =
   let config =
     Config.with_name Config.config_a
-      (Printf.sprintf "A.cc.%s.%s.n%d" (transport_name transport)
-         (topology_name topology) clients)
+      (Printf.sprintf "A.cc.%s.%s.n%d"
+         (Nfs.Rpc.transport_name transport)
+         (Topology.kind_name topology) clients)
   in
   let t = Topology.create ~net ~topology ~transport ~clients config in
   let cfg = rung_cfg ~file_mb "/cc" in
@@ -1124,8 +1093,8 @@ let nfs_congestion_point ?(file_mb = 1) ?(net = nfs_scale_net) ~clients
   let rpc0 = t.Topology.clients.(0).Topology.rpc in
   {
     cc_clients = clients;
-    cc_transport = transport_name transport;
-    cc_topology = topology_name topology;
+    cc_transport = Nfs.Rpc.transport_name transport;
+    cc_topology = Topology.kind_name topology;
     cc_goodput_kb_per_sec = Workload.Iobench.kb_per_sec total_bytes wall;
     cc_retransmits =
       sum (fun c -> (Nfs.Rpc.stats c.Topology.rpc).Nfs.Rpc.retransmits);
@@ -1139,10 +1108,7 @@ let nfs_congestion_point ?(file_mb = 1) ?(net = nfs_scale_net) ~clients
     cc_cwnd = Nfs.Rpc.cwnd rpc0;
     cc_server_queue_ms =
       Sim.Stats.Summary.mean sv.Nfs.Server.queue_wait_us /. 1000.;
-    cc_medium_util =
-      (match Topology.medium t with
-      | Some m -> Net.Medium.utilization m
-      | None -> 0.);
+    cc_medium_util = Net.utilization t.Topology.fabric;
   }
 
 let nfs_congestion ?file_mb ?net ?(client_counts = [ 1; 4; 16 ]) () =
@@ -1209,7 +1175,7 @@ let nfs_loss ?(file_mb = 1) ?(losses = [ 0.; 0.001; 0.01; 0.05 ]) () =
         loss_pct = loss *. 100.;
         goodput_kb_per_sec = Workload.Iobench.kb_per_sec !moved !spent;
         zl_retransmits = (Nfs.Rpc.stats c.Topology.rpc).Nfs.Rpc.retransmits;
-        zl_drops = Topology.client_drops c;
+        zl_drops = Topology.client_drops t c;
         zl_dup_hits = (Nfs.Server.stats t.Topology.service).Nfs.Server.dup_hits;
         creates_applied = Nfs.Server.applied t.Topology.service "create";
         creates_issued = Nfs.Rpc.op_calls c.Topology.rpc "create";

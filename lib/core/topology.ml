@@ -1,9 +1,9 @@
-type kind = Point_to_point | Shared_medium | Switched
+type kind = Net.kind = Point_to_point | Shared_medium | Switched
 
-type attach =
-  | Links of Nfs.Proto.msg Net.t array
-  | Station of Nfs.Proto.msg Net.Medium.station
-  | Port of Nfs.Proto.msg Net.Switch.port
+let kind_names =
+  [ ("p2p", Point_to_point); ("shared", Shared_medium); ("switched", Switched) ]
+
+let kind_name k = fst (List.find (fun (_, k') -> k' = k) kind_names)
 
 type mountpoint = {
   m_server : int;
@@ -13,8 +13,8 @@ type mountpoint = {
 
 type client = {
   id : int;
+  node : int;
   cpu : Sim.Cpu.t;
-  attach : attach;
   rpc : Nfs.Rpc.t;
   mount : Nfs.Client.t;
   mounts : mountpoint array;  (* one per server; element 0 = rpc/mount *)
@@ -26,39 +26,16 @@ type t = {
   servers : Machine.t array;
   services : Nfs.Server.t array;
   clients : client array;
-  medium : Nfs.Proto.msg Net.Medium.t option;
-  switch : Nfs.Proto.msg Net.Switch.t option;
-  srv_stations : Nfs.Proto.msg Net.Medium.station array option;
-  srv_ports : Nfs.Proto.msg Net.Switch.port array option;
+  fabric : Nfs.Proto.msg Net.fabric;
   crashed : Disk.Store.t option array;
       (* platter images latched at crash_server, consumed by reboot *)
-  (* wiring parameters retained so add_mount can attach later *)
-  topo_kind : kind;
-  net_cfg : Net.config;
-  seed : int;
+  (* channel parameters retained so add_mount can attach later *)
   transport : Nfs.Rpc.transport option;
   rpc_timeout : Sim.Time.t option;
   mutable next_rpc_id : int;  (* unique per rpc channel: dup-cache keys *)
 }
 
-let client_link c =
-  match c.attach with
-  | Links ls -> Some ls.(0)
-  | Station _ | Port _ -> None
-
-let medium t = t.medium
-let switch t = t.switch
-
-let client_drops c =
-  match c.attach with
-  | Links ls ->
-      Array.fold_left (fun acc l -> acc + (Net.stats l).Net.drops) 0 ls
-  | Station _ -> 0
-  | Port p -> (Net.Switch.port_stats p).Net.Switch.p_drops
-
-(* Station / port numbering, both shared kinds: server [s] is id [s],
-   client [i] is id [servers + i].  At one server this is the historical
-   "server = 0, client i = i + 1". *)
+let client_drops t c = Net.node_drops t.fabric c.node
 
 let create ?(net = Net.default_config) ?(seed = 0)
     ?(topology = Point_to_point) ?transport ?(nfsd = 4) ?biods ?ra_depth
@@ -76,85 +53,41 @@ let create ?(net = Net.default_config) ?(seed = 0)
             (Config.with_name config
                (Printf.sprintf "%s.s%d" config.Config.name s)))
   in
-  let shared = ref None in
-  let switched = ref None in
+  (* node numbering: server [s] is node [s], client [i] is node
+     [servers + i] *)
+  let fabric = Net.fabric ~seed ?ports_buffer topology engine net in
+  Array.iter
+    (fun sv -> ignore (Net.attach fabric ~cpu:sv.Machine.cpu))
+    machines;
   let nodes =
-    match topology with
-    | Point_to_point ->
-        Array.init clients (fun id ->
-            let cpu = Sim.Cpu.create engine in
-            let links =
-              Array.init servers (fun s ->
-                  let name =
-                    if servers = 1 then Printf.sprintf "link.%d" id
-                    else Printf.sprintf "link.%d.s%d" id s
-                  in
-                  Net.create
-                    ~seed:(seed + (id * servers) + s)
-                    ~name engine net ~a_cpu:cpu
-                    ~b_cpu:machines.(s).Machine.cpu)
-            in
-            (id, cpu, Links links))
-    | Shared_medium ->
-        let m = Net.Medium.create ~seed ~name:"ether" engine net in
-        let stations =
-          Array.map (fun sv -> Net.Medium.attach m ~cpu:sv.Machine.cpu) machines
-        in
-        shared := Some (m, stations);
-        Array.init clients (fun id ->
-            let cpu = Sim.Cpu.create engine in
-            let st = Net.Medium.attach m ~cpu in
-            (id, cpu, Station st))
-    | Switched ->
-        let sw =
-          Net.Switch.create ~seed ~name:"switch" ?buffer:ports_buffer engine
-            net
-        in
-        let ports =
-          Array.map (fun sv -> Net.Switch.attach sw ~cpu:sv.Machine.cpu) machines
-        in
-        switched := Some (sw, ports);
-        Array.init clients (fun id ->
-            let cpu = Sim.Cpu.create engine in
-            let p = Net.Switch.attach sw ~cpu in
-            (id, cpu, Port p))
+    Array.init clients (fun _ ->
+        let cpu = Sim.Cpu.create engine in
+        (Net.attach fabric ~cpu, cpu))
   in
-  (* the server-side endpoint of server [s]'s channel to one client *)
-  let server_ep s (id, _, attach) =
-    match attach with
-    | Links ls -> Net.b_end ls.(s)
-    | Station _ -> (
-        match !shared with
-        | Some (_, ss) -> Net.Medium.endpoint ss.(s) ~peer:(servers + id)
-        | None -> assert false)
-    | Port _ -> (
-        match !switched with
-        | Some (_, ps) -> Net.Switch.endpoint ps.(s) ~peer:(servers + id)
-        | None -> assert false)
+  (* (client end, server end) per client and server; connect order,
+     client-major, is each p2p link's seed offset *)
+  let chans =
+    Array.map
+      (fun (node, _) -> Array.init servers (fun s -> Net.connect fabric node s))
+      nodes
   in
   let services =
     Array.init servers (fun s ->
         Nfs.Server.create engine ~cpu:machines.(s).Machine.cpu
           ~fs:machines.(s).Machine.fs ~nfsd
-          ~endpoints:(Array.to_list (Array.map (server_ep s) nodes))
+          ~endpoints:(Array.to_list (Array.map (fun ch -> snd ch.(s)) chans))
           ())
   in
   let clients =
-    Array.map
-      (fun (id, cpu, attach) ->
-        let client_ep s =
-          match attach with
-          | Links ls -> Net.a_end ls.(s)
-          | Station st -> Net.Medium.endpoint st ~peer:s
-          | Port p -> Net.Switch.endpoint p ~peer:s
-        in
+    Array.mapi
+      (fun id (node, cpu) ->
         let mounts =
           Array.init servers (fun s ->
               (* per-server congestion state: every future mount from
                  this client to server [s] shares this channel's cstate *)
               let rpc =
-                Nfs.Rpc.create engine ~cpu ~ep:(client_ep s) ~client_id:id
-                  ?transport ?timeout:rpc_timeout ()
+                Nfs.Rpc.create engine ~cpu ~ep:(fst chans.(id).(s))
+                  ~client_id:id ?transport ?timeout:rpc_timeout ()
               in
               let m_mount =
                 Nfs.Client.mount engine ~cpu ~rpc ?biods ?ra_depth
@@ -164,33 +97,13 @@ let create ?(net = Net.default_config) ?(seed = 0)
         in
         {
           id;
+          node;
           cpu;
-          attach;
           rpc = mounts.(0).m_rpc;
           mount = mounts.(0).m_mount;
           mounts;
         })
       nodes
-  in
-  let t =
-    {
-      server = machines.(0);
-      service = services.(0);
-      servers = machines;
-      services;
-      clients;
-      medium = Option.map fst !shared;
-      switch = Option.map fst !switched;
-      srv_stations = Option.map snd !shared;
-      srv_ports = Option.map snd !switched;
-      crashed = Array.make servers None;
-      topo_kind = topology;
-      net_cfg = net;
-      seed;
-      transport;
-      rpc_timeout;
-      next_rpc_id = Array.length clients;
-    }
   in
   (match Machine.current_metrics_sink () with
   | Some reg ->
@@ -202,46 +115,37 @@ let create ?(net = Net.default_config) ?(seed = 0)
         (fun s svc ->
           Nfs.Server.register_metrics svc reg ~instance:(sname s ^ ".server"))
         services;
-      (match t.medium with
-      | Some m -> Net.Medium.register_metrics m reg ~instance:(name ^ ".net")
-      | None -> ());
-      (match !switched with
-      | Some (sw, ports) ->
-          Net.Switch.register_metrics sw reg ~instance:(name ^ ".switch");
-          Array.iteri
-            (fun s p ->
-              Net.Switch.register_port_metrics p reg
-                ~instance:(sname s ^ ".port"))
-            ports
-      | None -> ());
+      Net.register_metrics fabric reg ~instance:name;
+      for s = 0 to servers - 1 do
+        Net.register_port_metrics fabric s reg ~instance:(sname s)
+      done;
       if register_clients then
         Array.iter
           (fun c ->
-            (match c.attach with
-            | Links ls ->
-                Array.iteri
-                  (fun s l ->
-                    let instance =
-                      if servers = 1 then
-                        Printf.sprintf "%s.c%d.link" name c.id
-                      else Printf.sprintf "%s.c%d.link.s%d" name c.id s
-                    in
-                    Net.register_metrics l reg ~instance)
-                  ls
-            | Station _ | Port _ -> ());
+            let cname = Printf.sprintf "%s.c%d" name c.id in
+            Net.register_link_metrics fabric c.node reg ~instance:cname;
             if servers = 1 then
-              Nfs.Client.register_metrics c.mount reg
-                ~instance:(Printf.sprintf "%s.c%d" name c.id)
+              Nfs.Client.register_metrics c.mount reg ~instance:cname
             else
               Array.iter
                 (fun m ->
                   Nfs.Client.register_metrics m.m_mount reg
-                    ~instance:
-                      (Printf.sprintf "%s.c%d.s%d" name c.id m.m_server))
+                    ~instance:(Printf.sprintf "%s.s%d" cname m.m_server))
                 c.mounts)
           clients
   | None -> ());
-  t
+  {
+    server = machines.(0);
+    service = services.(0);
+    servers = machines;
+    services;
+    clients;
+    fabric;
+    crashed = Array.make servers None;
+    transport;
+    rpc_timeout;
+    next_rpc_id = Array.length clients;
+  }
 
 let engine t = t.server.Machine.engine
 let nservers t = Array.length t.servers
@@ -274,38 +178,13 @@ let add_mount t c ~server ?biods ?ra_depth ?dirty_limit () =
   let engine = engine t in
   let rpc_id = t.next_rpc_id in
   t.next_rpc_id <- t.next_rpc_id + 1;
-  (* a genuinely new transport attachment: its own link/station/port,
-     its own xid space and dispatcher on the server — but the congestion
-     state is the per-server channel's, shared with the existing mount *)
-  let ep =
-    match c.attach with
-    | Links _ ->
-        let link =
-          Net.create
-            ~seed:(t.seed + 7919 + rpc_id)
-            ~name:(Printf.sprintf "link.x%d.s%d" rpc_id server)
-            engine t.net_cfg ~a_cpu:c.cpu
-            ~b_cpu:t.servers.(server).Machine.cpu
-        in
-        Nfs.Server.add_endpoint t.services.(server) (Net.b_end link);
-        Net.a_end link
-    | Station _ ->
-        let m = Option.get t.medium in
-        let st = Net.Medium.attach m ~cpu:c.cpu in
-        let sid = Net.Medium.station_id st in
-        let srv = (Option.get t.srv_stations).(server) in
-        Nfs.Server.add_endpoint t.services.(server)
-          (Net.Medium.endpoint srv ~peer:sid);
-        Net.Medium.endpoint st ~peer:server
-    | Port _ ->
-        let sw = Option.get t.switch in
-        let np = Net.Switch.attach sw ~cpu:c.cpu in
-        let pid = Net.Switch.port_id np in
-        let srv = (Option.get t.srv_ports).(server) in
-        Nfs.Server.add_endpoint t.services.(server)
-          (Net.Switch.endpoint srv ~peer:pid);
-        Net.Switch.endpoint np ~peer:server
-  in
+  (* a genuinely new transport attachment: its own node (link, station
+     or port), its own xid space and dispatcher on the server — but the
+     congestion state is the per-server channel's, shared with the
+     existing mount *)
+  let node = Net.attach t.fabric ~cpu:c.cpu in
+  let ep, srv_ep = Net.connect t.fabric node server in
+  Nfs.Server.add_endpoint t.services.(server) srv_ep;
   let cstate = Nfs.Rpc.cstate_of c.mounts.(server).m_rpc in
   let rpc =
     Nfs.Rpc.create engine ~cpu:c.cpu ~ep ~client_id:rpc_id

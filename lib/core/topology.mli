@@ -9,18 +9,19 @@
     server} and an {!Nfs.Client} mount per server, but no local disk or
     UFS (their cache lives in the mounts).
 
-    Three wirings ({!kind}):
+    The machines are the nodes of one {!Net.fabric} (server [s] is node
+    [s], client [i] is node [servers + i]) and every client is connected
+    to every server.  Its {!kind} picks the wiring:
 
-    - {!Point_to_point} (default): each client gets a private duplex
-      {!Net} link to every server — contention only at server CPUs and
-      disks;
-    - {!Shared_medium}: every machine is a station on one {!Net.Medium}
-      Ethernet segment (server [s] = station [s], client [i] = station
-      [servers + i]), so clients also contend for the wire itself;
-    - {!Switched}: every machine hangs off its own full-duplex port of
-      one {!Net.Switch} (same numbering as the shared medium) — the
-      modern fabric, where the congestion signal is finite output-port
-      buffers, not collisions.
+    - {!Point_to_point} (default): a private duplex link per client and
+      server — contention only at server CPUs and disks;
+    - {!Shared_medium}: one Ethernet-class segment all machines contend
+      for;
+    - {!Switched}: a full-duplex switch port per machine, where the
+      congestion signal is finite output-port buffers, not collisions.
+
+    Nothing here depends on which: the wiring is read through the
+    fabric's own read-outs ({!Net.node_drops}, {!Net.utilization}, …).
 
     {b Sharding.}  With several servers the namespace is spread by a
     hash of the path ({!server_of_path}); {!shard} picks the mount a
@@ -30,8 +31,8 @@
     {b Per-server congestion state.}  A client's RPC channel to each
     server owns one {!Nfs.Rpc.cstate} (RTT estimator, RTO, AIMD
     window).  {!add_mount} attaches an {e additional} mount — its own
-    link/station/port, xid space and server dispatcher — that shares
-    the existing channel's cstate, so two mounts to one server share one
+    fabric node, xid space and server dispatcher — that shares the
+    existing channel's cstate, so two mounts to one server share one
     cwnd/RTO estimator while mounts to different servers stay
     independent.
 
@@ -46,15 +47,13 @@
     [~register_clients:false] to skip the per-client sources — at 1024
     clients they would dwarf the snapshot. *)
 
-type kind = Point_to_point | Shared_medium | Switched
+type kind = Net.kind = Point_to_point | Shared_medium | Switched
 
-type attach =
-  | Links of Nfs.Proto.msg Net.t array
-      (** private duplex links, one per server *)
-  | Station of Nfs.Proto.msg Net.Medium.station
-      (** this client's station on the shared segment *)
-  | Port of Nfs.Proto.msg Net.Switch.port
-      (** this client's switch port *)
+val kind_names : (string * kind) list
+(** The command-line spelling of each wiring: ["p2p"], ["shared"],
+    ["switched"]. *)
+
+val kind_name : kind -> string
 
 type mountpoint = {
   m_server : int;  (** which server this mount points at *)
@@ -64,8 +63,8 @@ type mountpoint = {
 
 type client = {
   id : int;  (** 0-based; also the RPC client id *)
+  node : int;  (** its fabric node: [servers + id] *)
   cpu : Sim.Cpu.t;
-  attach : attach;
   rpc : Nfs.Rpc.t;  (** = [mounts.(0).m_rpc] *)
   mount : Nfs.Client.t;  (** = [mounts.(0).m_mount] *)
   mounts : mountpoint array;  (** one per server *)
@@ -77,34 +76,19 @@ type t = {
   servers : Machine.t array;
   services : Nfs.Server.t array;
   clients : client array;
-  medium : Nfs.Proto.msg Net.Medium.t option;
-      (** the shared segment, when [kind] was {!Shared_medium} *)
-  switch : Nfs.Proto.msg Net.Switch.t option;
-      (** the fabric, when [kind] was {!Switched} *)
-  srv_stations : Nfs.Proto.msg Net.Medium.station array option;
-  srv_ports : Nfs.Proto.msg Net.Switch.port array option;
+  fabric : Nfs.Proto.msg Net.fabric;
   crashed : Disk.Store.t option array;
       (** platter images latched by {!crash_server}, consumed by
           {!reboot_server}; indexed by server *)
-  topo_kind : kind;
-  net_cfg : Net.config;
-  seed : int;
   transport : Nfs.Rpc.transport option;
   rpc_timeout : Sim.Time.t option;
   mutable next_rpc_id : int;
 }
 
-val client_link : client -> Nfs.Proto.msg Net.t option
-(** The client's private link to server 0 ([None] on a shared medium or
-    switch). *)
-
-val client_drops : client -> int
-(** Drops on the client's private links (all servers, both directions)
-    or its switch uplink; 0 on a shared medium (drops there are
-    per-segment — see {!medium}). *)
-
-val medium : t -> Nfs.Proto.msg Net.Medium.t option
-val switch : t -> Nfs.Proto.msg Net.Switch.t option
+val client_drops : t -> client -> int
+(** Seeded loss on the client's node ({!Net.node_drops}): its private
+    links (all servers, both directions) or its switch uplink; 0 on a
+    shared medium, whose drops are per-segment. *)
 
 val create :
   ?net:Net.config ->
@@ -127,8 +111,8 @@ val create :
     [<name>.s<j>] and share the first machine's engine) and attach
     [clients] nodes, each with one RPC channel and mount per server.
     [seed] (default 0) derives the fault-injection streams
-    ([seed + client*servers + server] per p2p link, [seed] for a shared
-    medium or switch).  [topology] picks the wiring (default
+    ([seed + client*servers + server] per p2p link — connect order —,
+    [seed] for a shared medium or switch).  [topology] picks the wiring (default
     {!Point_to_point}); [transport] the RPC retransmission strategy
     (default {!Nfs.Rpc.Fixed}).  [nfsd] sizes each server's worker pool
     (default 4); [biods], [ra_depth] and [dirty_limit] configure each
@@ -161,8 +145,8 @@ val add_mount :
   unit ->
   mountpoint
 (** Attach an additional mount from [client] to [server]: a genuinely
-    new transport attachment (own p2p link, station or switch port, own
-    xid space, and a new dispatcher on the server) whose RPC channel
+    new transport attachment (a new fabric node connected to the server,
+    own xid space, and a new dispatcher on the server) whose RPC channel
     {e shares} the per-server {!Nfs.Rpc.cstate} with the client's
     existing mount to that server — per-server, not per-mount,
     congestion state.  Must be called before driving load (it spawns

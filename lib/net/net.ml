@@ -245,7 +245,7 @@ let b_end t = t.b_ep
 
 let stats t = t.a.st
 
-let register_metrics t reg ~instance =
+let register_link t reg ~instance =
   let s = t.a.st in
   let ab = t.a.out.dst and ba = t.b.out.dst in
   Sim.Metrics.register reg ~layer:"net" ~instance (fun () ->
@@ -272,18 +272,6 @@ let register_metrics t reg ~instance =
 (* ---------- shared medium ---------- *)
 
 module Medium = struct
-  type m_stats = {
-    mutable frames_sent : int;
-    mutable m_bytes_sent : int;
-    mutable frames_delivered : int;
-    mutable m_drops : int;
-    mutable m_spikes : int;
-    mutable contentions : int;
-    mutable busy_us : int;
-    m_queue_wait_us : Sim.Stats.Summary.t;
-    m_transit_us : Sim.Stats.Summary.t;
-  }
-
   type 'a frame = {
     src : int;
     f_dst : int;
@@ -303,7 +291,10 @@ module Medium = struct
     stations : (int, 'a station) Hashtbl.t;
     mutable nstations : int;
     last_arrival : (int, Sim.Time.t) Hashtbl.t;  (** per-dst FIFO floor *)
-    m_st : m_stats;
+    m_st : stats;
+    mutable contentions : int;
+        (** transmit attempts that found the wire busy and backed off *)
+    mutable busy_us : int;  (** total wire occupancy *)
   }
 
   and 'a station = {
@@ -331,18 +322,9 @@ module Medium = struct
       stations = Hashtbl.create 16;
       nstations = 0;
       last_arrival = Hashtbl.create 16;
-      m_st =
-        {
-          frames_sent = 0;
-          m_bytes_sent = 0;
-          frames_delivered = 0;
-          m_drops = 0;
-          m_spikes = 0;
-          contentions = 0;
-          busy_us = 0;
-          m_queue_wait_us = Sim.Stats.Summary.create ();
-          m_transit_us = Sim.Stats.Summary.create ();
-        };
+      m_st = mk_stats ();
+      contentions = 0;
+      busy_us = 0;
     }
 
   let attach t ~cpu =
@@ -377,7 +359,7 @@ module Medium = struct
     let now = Sim.Engine.now m.m_engine in
     if Queue.is_empty s.outq then s.pumping <- false
     else if now < m.wire_free_at then begin
-      m.m_st.contentions <- m.m_st.contentions + 1;
+      m.contentions <- m.contentions + 1;
       let window = 1 lsl min s.backoff_exp m.max_exp in
       s.backoff_exp <- s.backoff_exp + 1;
       let jitter = m.slot * (1 + Sim.Rng.int m.m_rng window) in
@@ -388,17 +370,17 @@ module Medium = struct
     else begin
       let fr = Queue.pop s.outq in
       let wait = now - fr.enq_at in
-      Sim.Stats.Summary.add m.m_st.m_queue_wait_us (float_of_int wait);
+      Sim.Stats.Summary.add m.m_st.wire_wait_us (float_of_int wait);
       s.backoff_exp <- 0;
       let xmit = xmit_time m.m_cfg ~size:fr.fsize in
       m.wire_free_at <- now + xmit;
-      m.m_st.busy_us <- m.m_st.busy_us + xmit;
-      m.m_st.frames_sent <- m.m_st.frames_sent + 1;
-      m.m_st.m_bytes_sent <- m.m_st.m_bytes_sent + fr.fsize;
+      m.busy_us <- m.busy_us + xmit;
+      m.m_st.msgs_sent <- m.m_st.msgs_sent + 1;
+      m.m_st.bytes_sent <- m.m_st.bytes_sent + fr.fsize;
       let cfg = m.m_cfg in
       let fault = draw_fault cfg m.m_rng in
-      if spiked fault then m.m_st.m_spikes <- m.m_st.m_spikes + 1;
-      if lost fault then m.m_st.m_drops <- m.m_st.m_drops + 1
+      if spiked fault then m.m_st.spikes <- m.m_st.spikes + 1;
+      if lost fault then m.m_st.drops <- m.m_st.drops + 1
       else begin
         let arrival = m.wire_free_at + cfg.latency + spike_delay cfg fault in
         (* one serial wire: everything bound for a station arrives in
@@ -416,8 +398,8 @@ module Medium = struct
             | Some dst ->
                 let ib = inbox_of dst.inboxes ~src:fr.src in
                 Queue.push fr.payload ib.q;
-                m.m_st.frames_delivered <- m.m_st.frames_delivered + 1;
-                Sim.Stats.Summary.add m.m_st.m_transit_us
+                m.m_st.msgs_delivered <- m.m_st.msgs_delivered + 1;
+                Sim.Stats.Summary.add m.m_st.transit_us
                   (float_of_int (arrival - fr.enq_at));
                 Sim.Condition.signal ib.ib_cond)
       end;
@@ -447,45 +429,33 @@ module Medium = struct
         send_to s ~dst:peer ~size msg)
 
   let stats t = t.m_st
+  let contentions t = t.contentions
 
   let utilization t =
     let now = Sim.Engine.now t.m_engine in
-    if now = 0 then 0. else float_of_int t.m_st.busy_us /. float_of_int now
+    if now = 0 then 0. else float_of_int t.busy_us /. float_of_int now
 
   let register_metrics t reg ~instance =
     let s = t.m_st in
     Sim.Metrics.register reg ~layer:"net" ~instance (fun () ->
         [
           ("stations", Sim.Metrics.Int t.nstations);
-          ("frames_sent", Sim.Metrics.Int s.frames_sent);
-          ("bytes_sent", Sim.Metrics.Int s.m_bytes_sent);
-          ("frames_delivered", Sim.Metrics.Int s.frames_delivered);
-          ("drops", Sim.Metrics.Int s.m_drops);
-          ("delay_spikes", Sim.Metrics.Int s.m_spikes);
-          ("contentions", Sim.Metrics.Int s.contentions);
-          ("wire_busy_us", Sim.Metrics.Int s.busy_us);
+          ("frames_sent", Sim.Metrics.Int s.msgs_sent);
+          ("bytes_sent", Sim.Metrics.Int s.bytes_sent);
+          ("frames_delivered", Sim.Metrics.Int s.msgs_delivered);
+          ("drops", Sim.Metrics.Int s.drops);
+          ("delay_spikes", Sim.Metrics.Int s.spikes);
+          ("contentions", Sim.Metrics.Int t.contentions);
+          ("wire_busy_us", Sim.Metrics.Int t.busy_us);
           ("utilization", Sim.Metrics.Float (utilization t));
-          ("queue_wait_us", Sim.Metrics.Summary s.m_queue_wait_us);
-          ("transit_us", Sim.Metrics.Summary s.m_transit_us);
+          ("queue_wait_us", Sim.Metrics.Summary s.wire_wait_us);
+          ("transit_us", Sim.Metrics.Summary s.transit_us);
         ])
 end
 
 (* ---------- store-and-forward switch ---------- *)
 
 module Switch = struct
-  type sw_stats = {
-    mutable frames_sent : int;
-    mutable sw_bytes_sent : int;
-    mutable frames_delivered : int;
-    mutable sw_drops : int;  (** seeded uplink loss *)
-    mutable overflows : int;  (** tail drops at full output buffers *)
-    mutable sw_spikes : int;
-    mutable occ_hwm : int;  (** worst output-buffer occupancy, any port *)
-    sw_queue_wait_us : Sim.Stats.Summary.t;
-        (** switch arrival -> downlink grant, all output ports *)
-    sw_transit_us : Sim.Stats.Summary.t;  (** send -> delivery *)
-  }
-
   type p_stats = {
     mutable up_frames : int;
     mutable up_bytes : int;
@@ -516,7 +486,10 @@ module Switch = struct
     sw_rng : Sim.Rng.t;
     ports : (int, 'a port) Hashtbl.t;
     mutable nports : int;
-    sw_st : sw_stats;
+    sw_st : stats;
+        (** uplink loss in [drops]; output-buffer wait in [wire_wait_us] *)
+    mutable overflows : int;  (** tail drops at full output buffers *)
+    mutable occ_hwm : int;  (** worst output-buffer occupancy, any port *)
   }
 
   and 'a port = {
@@ -546,18 +519,9 @@ module Switch = struct
       sw_rng = Sim.Rng.create ~seed;
       ports = Hashtbl.create 16;
       nports = 0;
-      sw_st =
-        {
-          frames_sent = 0;
-          sw_bytes_sent = 0;
-          frames_delivered = 0;
-          sw_drops = 0;
-          overflows = 0;
-          sw_spikes = 0;
-          occ_hwm = 0;
-          sw_queue_wait_us = Sim.Stats.Summary.create ();
-          sw_transit_us = Sim.Stats.Summary.create ();
-        };
+      sw_st = mk_stats ();
+      overflows = 0;
+      occ_hwm = 0;
     }
 
   let attach t ~cpu =
@@ -606,7 +570,7 @@ module Switch = struct
     | Some fr ->
         let now = Sim.Engine.now m.sw_engine in
         let wait = now - fr.sw_at in
-        Sim.Stats.Summary.add m.sw_st.sw_queue_wait_us (float_of_int wait);
+        Sim.Stats.Summary.add m.sw_st.wire_wait_us (float_of_int wait);
         Sim.Stats.Summary.add p.pst.p_queue_wait_us (float_of_int wait);
         let xmit = xmit_time m.sw_cfg ~size:fr.fsize in
         p.pst.down_frames <- p.pst.down_frames + 1;
@@ -617,8 +581,8 @@ module Switch = struct
             Sim.Engine.schedule m.sw_engine ~delay:m.sw_cfg.latency (fun () ->
                 let ib = inbox_of p.inboxes ~src:fr.src in
                 Queue.push fr.payload ib.q;
-                m.sw_st.frames_delivered <- m.sw_st.frames_delivered + 1;
-                Sim.Stats.Summary.add m.sw_st.sw_transit_us
+                m.sw_st.msgs_delivered <- m.sw_st.msgs_delivered + 1;
+                Sim.Stats.Summary.add m.sw_st.transit_us
                   (float_of_int (Sim.Engine.now m.sw_engine - fr.enq_at));
                 Sim.Condition.signal ib.ib_cond);
             pump p ())
@@ -632,15 +596,14 @@ module Switch = struct
     | None -> ()  (* no such port: the bits fall on the floor *)
     | Some dst ->
         if dst.occupancy >= t.buffer then begin
-          t.sw_st.overflows <- t.sw_st.overflows + 1;
+          t.overflows <- t.overflows + 1;
           dst.pst.p_overflows <- dst.pst.p_overflows + 1
         end
         else begin
           dst.occupancy <- dst.occupancy + 1;
           if dst.occupancy > dst.pst.p_occ_hwm then
             dst.pst.p_occ_hwm <- dst.occupancy;
-          if dst.occupancy > t.sw_st.occ_hwm then
-            t.sw_st.occ_hwm <- dst.occupancy;
+          if dst.occupancy > t.occ_hwm then t.occ_hwm <- dst.occupancy;
           fr.sw_at <- Sim.Engine.now t.sw_engine;
           Queue.push fr dst.eq;
           if not dst.down_busy then begin
@@ -662,12 +625,12 @@ module Switch = struct
     p.pst.up_frames <- p.pst.up_frames + 1;
     p.pst.up_bytes <- p.pst.up_bytes + size;
     p.pst.up_busy_us <- p.pst.up_busy_us + xmit;
-    m.sw_st.frames_sent <- m.sw_st.frames_sent + 1;
-    m.sw_st.sw_bytes_sent <- m.sw_st.sw_bytes_sent + size;
+    m.sw_st.msgs_sent <- m.sw_st.msgs_sent + 1;
+    m.sw_st.bytes_sent <- m.sw_st.bytes_sent + size;
     let fault = draw_fault cfg m.sw_rng in
-    if spiked fault then m.sw_st.sw_spikes <- m.sw_st.sw_spikes + 1;
+    if spiked fault then m.sw_st.spikes <- m.sw_st.spikes + 1;
     if lost fault then begin
-      m.sw_st.sw_drops <- m.sw_st.sw_drops + 1;
+      m.sw_st.drops <- m.sw_st.drops + 1;
       p.pst.p_drops <- p.pst.p_drops + 1
     end
     else begin
@@ -688,14 +651,15 @@ module Switch = struct
         send_to p ~dst:peer ~size msg)
 
   let stats t = t.sw_st
-  let port_stats p = p.pst
+  let overflows t = t.overflows
+  let occupancy_hwm t = t.occ_hwm
+
+  (* a port is as busy as the busier of its two private wires *)
+  let port_busy_us p = max p.pst.up_busy_us p.pst.down_busy_us
 
   let port_utilization p =
     let now = Sim.Engine.now p.sw.sw_engine in
-    if now = 0 then 0.
-    else
-      float_of_int (max p.pst.up_busy_us p.pst.down_busy_us)
-      /. float_of_int now
+    if now = 0 then 0. else float_of_int (port_busy_us p) /. float_of_int now
 
   let max_port_utilization t =
     Hashtbl.fold (fun _ p acc -> max acc (port_utilization p)) t.ports 0.
@@ -706,16 +670,16 @@ module Switch = struct
         [
           ("ports", Sim.Metrics.Int t.nports);
           ("buffer_frames", Sim.Metrics.Int t.buffer);
-          ("frames_sent", Sim.Metrics.Int s.frames_sent);
-          ("bytes_sent", Sim.Metrics.Int s.sw_bytes_sent);
-          ("frames_delivered", Sim.Metrics.Int s.frames_delivered);
-          ("drops", Sim.Metrics.Int s.sw_drops);
-          ("overflow_drops", Sim.Metrics.Int s.overflows);
-          ("delay_spikes", Sim.Metrics.Int s.sw_spikes);
-          ("occupancy_hwm", Sim.Metrics.Int s.occ_hwm);
+          ("frames_sent", Sim.Metrics.Int s.msgs_sent);
+          ("bytes_sent", Sim.Metrics.Int s.bytes_sent);
+          ("frames_delivered", Sim.Metrics.Int s.msgs_delivered);
+          ("drops", Sim.Metrics.Int s.drops);
+          ("overflow_drops", Sim.Metrics.Int t.overflows);
+          ("delay_spikes", Sim.Metrics.Int s.spikes);
+          ("occupancy_hwm", Sim.Metrics.Int t.occ_hwm);
           ("max_port_utilization", Sim.Metrics.Float (max_port_utilization t));
-          ("queue_wait_us", Sim.Metrics.Summary s.sw_queue_wait_us);
-          ("transit_us", Sim.Metrics.Summary s.sw_transit_us);
+          ("queue_wait_us", Sim.Metrics.Summary s.wire_wait_us);
+          ("transit_us", Sim.Metrics.Summary s.transit_us);
         ])
 
   let register_port_metrics p reg ~instance =
@@ -735,3 +699,144 @@ module Switch = struct
           ("queue_wait_us", Sim.Metrics.Summary s.p_queue_wait_us);
         ])
 end
+
+(* ---------- one fabric, three wirings ---------- *)
+
+type kind = Point_to_point | Shared_medium | Switched
+
+(* A node of a point-to-point fabric: its CPU, and every link it is an
+   end of, newest first, with the node at the other end. *)
+type 'a p2p_node = { cpu : Sim.Cpu.t; mutable links : (int * 'a t) list }
+
+type 'a p2p = {
+  l_engine : Sim.Engine.t;
+  l_cfg : config;
+  l_seed : int;
+  nodes : (int, 'a p2p_node) Hashtbl.t;
+  all : 'a t Queue.t;  (** every link, in connect order *)
+}
+
+type 'a fabric =
+  | Links of 'a p2p
+  | Wire of 'a Medium.t
+  | Ports of 'a Switch.t
+
+let fabric ?(seed = 0) ?ports_buffer kind engine cfg =
+  match kind with
+  | Point_to_point ->
+      Links
+        {
+          l_engine = engine;
+          l_cfg = cfg;
+          l_seed = seed;
+          nodes = Hashtbl.create 16;
+          all = Queue.create ();
+        }
+  | Shared_medium -> Wire (Medium.create ~seed ~name:"ether" engine cfg)
+  | Switched ->
+      Ports (Switch.create ~seed ~name:"switch" ?buffer:ports_buffer engine cfg)
+
+(* Node ids are attach order on every wiring, so on a medium or a
+   switch a node id is its station or port id. *)
+let station m n = Hashtbl.find m.Medium.stations n
+let port sw n = Hashtbl.find sw.Switch.ports n
+
+let attach fab ~cpu =
+  match fab with
+  | Links l ->
+      let id = Hashtbl.length l.nodes in
+      Hashtbl.replace l.nodes id { cpu; links = [] };
+      id
+  | Wire m -> Medium.station_id (Medium.attach m ~cpu)
+  | Ports sw -> Switch.port_id (Switch.attach sw ~cpu)
+
+let connect fab a b =
+  match fab with
+  | Links l ->
+      let na = Hashtbl.find l.nodes a and nb = Hashtbl.find l.nodes b in
+      (* connect order is the link's seed offset *)
+      let link =
+        create ~seed:(l.l_seed + Queue.length l.all)
+          ~name:(Printf.sprintf "link.%d.%d" a b)
+          l.l_engine l.l_cfg ~a_cpu:na.cpu ~b_cpu:nb.cpu
+      in
+      Queue.push link l.all;
+      na.links <- (b, link) :: na.links;
+      nb.links <- (a, link) :: nb.links;
+      (a_end link, b_end link)
+  | Wire m ->
+      (Medium.endpoint (station m a) ~peer:b,
+       Medium.endpoint (station m b) ~peer:a)
+  | Ports sw ->
+      (Switch.endpoint (port sw a) ~peer:b, Switch.endpoint (port sw b) ~peer:a)
+
+(* a node's links in connect order *)
+let links_of l node = List.rev (Hashtbl.find l.nodes node).links
+
+let register_metrics fab reg ~instance =
+  match fab with
+  | Links _ -> ()
+  | Wire m -> Medium.register_metrics m reg ~instance:(instance ^ ".net")
+  | Ports sw -> Switch.register_metrics sw reg ~instance:(instance ^ ".switch")
+
+let register_port_metrics fab node reg ~instance =
+  match fab with
+  | Ports sw ->
+      Switch.register_port_metrics (port sw node) reg
+        ~instance:(instance ^ ".port")
+  | Links _ | Wire _ -> ()
+
+let register_link_metrics fab node reg ~instance =
+  match fab with
+  | Links l -> (
+      match links_of l node with
+      | [ (_, link) ] -> register_link link reg ~instance:(instance ^ ".link")
+      | links ->
+          List.iter
+            (fun (peer, link) ->
+              register_link link reg
+                ~instance:(Printf.sprintf "%s.link.s%d" instance peer))
+            links)
+  | Wire _ | Ports _ -> ()
+
+let link_stats fab a b =
+  match fab with
+  | Links l -> Option.map stats (List.assoc_opt b (links_of l a))
+  | Wire _ | Ports _ -> None
+
+let frames_sent fab =
+  match fab with
+  | Links l ->
+      Queue.fold (fun acc link -> acc + (stats link).msgs_sent) 0 l.all
+  | Wire m -> (Medium.stats m).msgs_sent
+  | Ports sw -> (Switch.stats sw).msgs_sent
+
+let node_drops fab node =
+  match fab with
+  | Links l ->
+      List.fold_left
+        (fun acc (_, link) -> acc + (stats link).drops)
+        0 (Hashtbl.find l.nodes node).links
+  | Wire _ -> 0
+  | Ports sw -> (port sw node).Switch.pst.Switch.p_drops
+
+let node_busy_us fab node =
+  match fab with
+  | Ports sw -> Switch.port_busy_us (port sw node)
+  | Links _ | Wire _ -> 0
+
+let utilization = function
+  | Wire m -> Medium.utilization m
+  | Links _ | Ports _ -> 0.
+
+let overflows = function
+  | Ports sw -> Switch.overflows sw
+  | Links _ | Wire _ -> 0
+
+let occupancy_hwm = function
+  | Ports sw -> Switch.occupancy_hwm sw
+  | Links _ | Wire _ -> 0
+
+let max_port_utilization = function
+  | Ports sw -> Switch.max_port_utilization sw
+  | Links _ | Wire _ -> 0.

@@ -1,11 +1,16 @@
-(** Simulated network: point-to-point links and a shared medium on the
-    {!Sim} engine.
+(** Simulated network on the {!Sim} engine: one {!fabric} type with
+    three wirings — private point-to-point links, a shared medium, and
+    a switch.
 
     An {!endpoint} is the transport-facing interface — send, blocking
     receive, pending count — and the RPC layers above are written
-    against it alone, so the same client/server code runs over a
-    private duplex link ({!create}) or over one station of a
-    shared-medium Ethernet ({!Medium}).
+    against it alone.  A caller builds a {!fabric} from a {!kind},
+    {!attach}es one node per machine and {!connect}s pairs of nodes;
+    each connection yields the two endpoints, whichever wiring carries
+    them.  Metrics registration and the read-outs the experiments use
+    (per-node drops and busy time, wire utilization, switch overflows)
+    are fabric functions too, so nothing above this module matches on
+    the wiring.
 
     {b Point-to-point links.}  A link is a duplex pipe between two
     endpoints (conventionally a client machine and the server).  Each
@@ -13,19 +18,21 @@
     for [size / bandwidth], then arrives [latency] later.  Delivery per
     direction is strictly FIFO — a delay spike injected on one message
     pushes every later message behind it, like a queue in a real
-    switch.
+    switch.  {b Shared medium} ({!Medium}): all stations contend for one
+    serial wire.  {b Switch} ({!Switch}): every node has a private
+    full-duplex port; the congestion signal is finite output buffers.
 
     Sending charges a per-message plus per-KB serialization cost to the
     {e sender's} CPU (each endpoint is bound to its machine's
-    {!Sim.Cpu.t} at link creation), so protocol overhead contends with
+    {!Sim.Cpu.t} when it is made), so protocol overhead contends with
     the rest of that machine's work.
 
-    Fault injection is seeded and deterministic: each message is
-    dropped with probability [loss] (it still occupied the wire — the
-    bits were transmitted, nobody heard them), and delayed by [spike]
-    extra with probability [spike_prob].  Loss applies independently to
-    each direction, so a request/reply protocol above this layer sees
-    both lost calls and lost replies. *)
+    Fault injection is seeded and deterministic, one draw shared by all
+    three wirings: each message is dropped with probability [loss] (it
+    still occupied the wire — the bits were transmitted, nobody heard
+    them), and delayed by [spike] extra with probability [spike_prob].
+    Loss applies independently to each direction, so a request/reply
+    protocol above this layer sees both lost calls and lost replies. *)
 
 type config = {
   bandwidth : int;  (** wire rate, bytes of payload per second *)
@@ -47,7 +54,7 @@ val lossy : config -> float -> config
 type 'a endpoint
 (** One transport attachment carrying messages of type ['a]: an end of
     a point-to-point link, or one peer's view of a shared-medium
-    station. *)
+    station or a switch port. *)
 
 type 'a t
 (** A duplex link. *)
@@ -79,22 +86,19 @@ type stats = {
   mutable msgs_sent : int;
   mutable bytes_sent : int;
   mutable msgs_delivered : int;
-  mutable drops : int;
+  mutable drops : int;  (** seeded loss *)
   mutable spikes : int;
   wire_wait_us : Sim.Stats.Summary.t;
-      (** time each message waited for the wire (link-queue wait) *)
+      (** time each message waited for a wire: the link's queue, the
+          medium's grant, or the switch output port's downlink *)
   transit_us : Sim.Stats.Summary.t;
       (** send-to-delivery time of delivered messages *)
 }
+(** The counters every wiring keeps: one link (both directions), a
+    whole medium, or a whole switch. *)
 
 val stats : 'a t -> stats
 (** Both directions combined. *)
-
-
-val register_metrics : 'a t -> Sim.Metrics.t -> instance:string -> unit
-(** Register the link's counters and wire-wait summaries as a ["net"]
-    source — combined totals plus [a2b_*]/[b2a_*] per-direction
-    counters. *)
 
 (** A shared-medium (Ethernet-class) segment: N stations contending for
     one serial wire.
@@ -146,28 +150,15 @@ module Medium : sig
       many peers through independent endpoints (the NFS server's view
       of its clients). *)
 
-  type m_stats = {
-    mutable frames_sent : int;
-    mutable m_bytes_sent : int;
-    mutable frames_delivered : int;
-    mutable m_drops : int;
-    mutable m_spikes : int;
-    mutable contentions : int;
-        (** transmit attempts that found the wire busy and backed off *)
-    mutable busy_us : int;  (** total wire occupancy *)
-    m_queue_wait_us : Sim.Stats.Summary.t;
-        (** frame enqueue -> wire grant, all stations *)
-    m_transit_us : Sim.Stats.Summary.t;  (** frame enqueue -> delivery *)
-  }
+  val stats : 'a t -> stats
+  (** All stations; [wire_wait_us] is frame enqueue -> wire grant,
+      [transit_us] enqueue -> delivery. *)
 
-  val stats : 'a t -> m_stats
+  val contentions : 'a t -> int
+  (** Transmit attempts that found the wire busy and backed off. *)
 
   val utilization : 'a t -> float
   (** Wire busy time over elapsed simulation time, [0, 1]. *)
-
-  val register_metrics : 'a t -> Sim.Metrics.t -> instance:string -> unit
-  (** Register the medium's counters, utilization and queue-wait
-      summaries as a ["net"] source. *)
 end
 
 (** A store-and-forward switch: every host hangs off its own full-duplex
@@ -216,43 +207,96 @@ module Switch : sig
       are demultiplexed by source port, so one port can serve many peers
       through independent endpoints (a server's view of its clients). *)
 
-  type sw_stats = {
-    mutable frames_sent : int;
-    mutable sw_bytes_sent : int;
-    mutable frames_delivered : int;
-    mutable sw_drops : int;  (** seeded uplink loss *)
-    mutable overflows : int;  (** tail drops at full output buffers *)
-    mutable sw_spikes : int;
-    mutable occ_hwm : int;  (** worst output-buffer occupancy, any port *)
-    sw_queue_wait_us : Sim.Stats.Summary.t;
-        (** switch arrival -> downlink grant, all output ports *)
-    sw_transit_us : Sim.Stats.Summary.t;  (** send -> delivery *)
-  }
+  val stats : 'a t -> stats
+  (** All ports; [drops] is seeded uplink loss, [wire_wait_us] switch
+      arrival -> downlink grant, [transit_us] send -> delivery. *)
 
-  type p_stats = {
-    mutable up_frames : int;
-    mutable up_bytes : int;
-    mutable up_busy_us : int;  (** host->switch link occupancy *)
-    mutable down_frames : int;
-    mutable down_bytes : int;
-    mutable down_busy_us : int;  (** switch->host link occupancy *)
-    mutable p_drops : int;  (** uplink loss on this port *)
-    mutable p_overflows : int;  (** frames tail-dropped at this output *)
-    mutable p_occ_hwm : int;
-    p_queue_wait_us : Sim.Stats.Summary.t;
-  }
+  val overflows : 'a t -> int
+  (** Tail drops at full output buffers. *)
 
-  val stats : 'a t -> sw_stats
-  val port_stats : 'a port -> p_stats
+  val occupancy_hwm : 'a t -> int
+  (** Worst output-buffer occupancy seen, any port. *)
 
   val max_port_utilization : 'a t -> float
-
-  val register_metrics : 'a t -> Sim.Metrics.t -> instance:string -> unit
-  (** Register switch-wide counters, the occupancy high-water mark and
-      queue-wait summaries as a ["net"] source. *)
-
-  val register_port_metrics :
-    'a port -> Sim.Metrics.t -> instance:string -> unit
-  (** Register one port's counters (typically only server ports: at
-      1024 clients, per-client port sources would dwarf the snapshot). *)
+  (** Busiest port's max(uplink, downlink) busy time over elapsed time. *)
 end
+
+(** {1 Fabric} *)
+
+type kind = Point_to_point | Shared_medium | Switched
+
+type 'a fabric
+(** A set of nodes and the wiring between them. *)
+
+val fabric :
+  ?seed:int -> ?ports_buffer:int -> kind -> Sim.Engine.t -> config ->
+  'a fabric
+(** An empty fabric of the given wiring.  [seed] (default 0) drives the
+    fault injection: the medium's or the switch's single stream, or
+    [seed + k] for the [k]-th point-to-point link (0-based connect
+    order).  [ports_buffer] is the switch's per-output-port buffer in
+    frames (default 64; ignored by the other wirings). *)
+
+val attach : 'a fabric -> cpu:Sim.Cpu.t -> int
+(** Add a node — a machine's network interface, whose serialization is
+    charged to [cpu] — and return its id.  Ids are 0, 1, 2, … in attach
+    order on every wiring (on a medium or a switch they are the station
+    or port ids). *)
+
+val connect : 'a fabric -> int -> int -> 'a endpoint * 'a endpoint
+(** [connect fab a b] is [(a's endpoint toward b, b's endpoint toward
+    a)].  On point-to-point wiring this builds a fresh duplex link whose
+    [a2b] direction runs from [a] to [b]; on a medium or a switch it
+    makes the two stations' or ports' per-peer endpoints. *)
+
+val register_metrics : 'a fabric -> Sim.Metrics.t -> instance:string -> unit
+(** Register the fabric-wide ["net"] source: [<instance>.net] for a
+    shared medium (counters, contentions, utilization, queue wait),
+    [<instance>.switch] for a switch (counters, overflow drops,
+    occupancy high-water, busiest-port utilization).  Point-to-point
+    wiring has no fabric-wide source. *)
+
+val register_port_metrics :
+  'a fabric -> int -> Sim.Metrics.t -> instance:string -> unit
+(** Register a node's switch port as [<instance>.port]; nothing on the
+    other wirings. *)
+
+val register_link_metrics :
+  'a fabric -> int -> Sim.Metrics.t -> instance:string -> unit
+(** Register a node's point-to-point links, in connect order: one link
+    as [<instance>.link], several as [<instance>.link.s<peer>] (the
+    other end's node id).  Each source carries combined totals plus
+    [a2b_*]/[b2a_*] per-direction counters.  Nothing on the other
+    wirings. *)
+
+(** {2 Read-outs}  Each reads 0 (or [None]) on wirings that do not have
+    the thing it measures. *)
+
+val link_stats : 'a fabric -> int -> int -> stats option
+(** The point-to-point link between two nodes, both directions (the
+    first one connected, if several). *)
+
+val frames_sent : 'a fabric -> int
+(** Messages transmitted so far, all nodes (on a medium, those that
+    have won the wire). *)
+
+val node_drops : 'a fabric -> int -> int
+(** Seeded loss on the node's links (all of them, both directions) or
+    on its switch uplink; 0 on a shared medium, whose drops are
+    per-segment. *)
+
+val node_busy_us : 'a fabric -> int -> int
+(** The node's switch port occupancy: max(uplink, downlink) busy
+    time. *)
+
+val utilization : 'a fabric -> float
+(** The shared medium's busy time over elapsed time, [0, 1]. *)
+
+val overflows : 'a fabric -> int
+(** Switch tail drops at full output buffers. *)
+
+val occupancy_hwm : 'a fabric -> int
+(** Worst switch output-buffer occupancy seen. *)
+
+val max_port_utilization : 'a fabric -> float
+(** Busiest switch port's max(up, down) busy time over elapsed time. *)

@@ -1,5 +1,8 @@
 type transport = Fixed | Adaptive
 
+let transport_names = [ ("fixed", Fixed); ("adaptive", Adaptive) ]
+let transport_name tr = fst (List.find (fun (_, t) -> t = tr) transport_names)
+
 type stats = {
   mutable calls : int;
   mutable retransmits : int;

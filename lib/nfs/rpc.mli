@@ -30,6 +30,12 @@
 
 type transport = Fixed | Adaptive
 
+val transport_names : (string * transport) list
+(** The command-line spelling of each transport: ["fixed"],
+    ["adaptive"]. *)
+
+val transport_name : transport -> string
+
 type t
 
 type cstate

@@ -15,9 +15,10 @@ let topo ?(clients = 1) ?servers ?net ?seed ?topology ?transport ?nfsd ?biods
     ?rpc_timeout ?servers ?ports_buffer ~clients
     (Helpers.config ?name ())
 
-let client_link_stats c =
-  match T.client_link c with
-  | Some l -> Net.stats l
+(* the client's private link to server 0 (fabric node 0) *)
+let client_link_stats t c =
+  match Net.link_stats t.T.fabric c.T.node 0 with
+  | Some l -> l
   | None -> Alcotest.fail "client has no private link"
 
 (* Server-side ground truth: the file's bytes as the UFS has them. *)
@@ -73,9 +74,9 @@ let test_medium_contention_and_delivery () =
   Alcotest.(check (list int)) "per-source FIFO (station 2)"
     [ 200; 201; 202; 203; 204 ] (List.rev !got2);
   let st = Net.Medium.stats m in
-  check_int "all frames delivered" 10 st.Net.Medium.frames_delivered;
-  check_int "nothing dropped on a clean wire" 0 st.Net.Medium.m_drops;
-  check_bool "contention observed" true (st.Net.Medium.contentions > 0);
+  check_int "all frames delivered" 10 st.Net.msgs_delivered;
+  check_int "nothing dropped on a clean wire" 0 st.Net.drops;
+  check_bool "contention observed" true (Net.Medium.contentions m > 0);
   check_bool "wire utilization accounted" true (Net.Medium.utilization m > 0.)
 
 let test_medium_is_seeded () =
@@ -108,7 +109,7 @@ let test_medium_is_seeded () =
             done))
       senders;
     Sim.Engine.run engine;
-    ((Net.Medium.stats m).Net.Medium.contentions, Sim.Engine.now engine)
+    (Net.Medium.contentions m, Sim.Engine.now engine)
   in
   check_bool "seed 3 reproducible" true (run 3 = run 3);
   check_bool "seeds diverge" true (run 3 <> run 4)
@@ -154,10 +155,10 @@ let test_switch_fifo_and_forwarding () =
   Alcotest.(check (list int)) "per-source FIFO (port 2)"
     [ 200; 201; 202; 203; 204 ] (List.rev !got2);
   let st = Net.Switch.stats sw in
-  check_int "all frames delivered" 10 st.Net.Switch.frames_delivered;
-  check_int "nothing dropped within the buffer" 0 st.Net.Switch.sw_drops;
+  check_int "all frames delivered" 10 st.Net.msgs_delivered;
+  check_int "nothing dropped within the buffer" 0 st.Net.drops;
   check_bool "store-and-forward queueing observed" true
-    (st.Net.Switch.occ_hwm >= 1);
+    (Net.Switch.occupancy_hwm sw >= 1);
   check_bool "port utilization accounted" true
     (Net.Switch.max_port_utilization sw > 0.)
 
@@ -196,13 +197,14 @@ let test_switch_overflow_is_tail_drop () =
     senders;
   (try Sim.Engine.run engine with Sim.Engine.Deadlock _ -> ());
   let st = Net.Switch.stats sw in
-  check_bool "overflow drops happened" true (st.Net.Switch.overflows > 0);
-  check_int "no seeded loss on a clean config" 0 st.Net.Switch.sw_drops;
-  check_int "delivered + dropped = sent" st.Net.Switch.frames_sent
-    (st.Net.Switch.frames_delivered + st.Net.Switch.overflows);
-  check_int "high-water pinned at the buffer" 1 st.Net.Switch.occ_hwm;
+  let overflows = Net.Switch.overflows sw in
+  check_bool "overflow drops happened" true (overflows > 0);
+  check_int "no seeded loss on a clean config" 0 st.Net.drops;
+  check_int "delivered + dropped = sent" st.Net.msgs_sent
+    (st.Net.msgs_delivered + overflows);
+  check_int "high-water pinned at the buffer" 1 (Net.Switch.occupancy_hwm sw);
   check_int "every delivered frame reached a reader"
-    st.Net.Switch.frames_delivered
+    st.Net.msgs_delivered
     (List.length !(got.(0)) + List.length !(got.(1)));
   (* per-source order of the survivors *)
   List.iter
@@ -245,7 +247,7 @@ let test_switch_is_seeded () =
       senders;
     (try Sim.Engine.run engine with Sim.Engine.Deadlock _ -> ());
     let st = Net.Switch.stats sw in
-    (st.Net.Switch.sw_drops, st.Net.Switch.frames_delivered, Sim.Engine.now engine)
+    (st.Net.drops, st.Net.msgs_delivered, Sim.Engine.now engine)
   in
   let d, _, _ = run 3 in
   check_bool "losses actually drawn" true (d > 0);
@@ -400,7 +402,7 @@ let test_random_reads_fetch_single_blocks () =
   in
   T.run_clients t (fun c ->
       Workload.Iobench.prepare (Workload.Handle.Remote c.T.mount) cfg;
-      let base = (client_link_stats c).Net.bytes_sent in
+      let base = (client_link_stats t c).Net.bytes_sent in
       let _ =
         Workload.Iobench.run_phase (Workload.Handle.Remote c.T.mount) cfg
           Workload.Iobench.FRR
@@ -408,7 +410,7 @@ let test_random_reads_fetch_single_blocks () =
       let st = Nfs.Client.stats c.T.mount in
       (* random misses must not drag whole clusters over the wire *)
       check_int "no read-ahead on random" 0 st.Nfs.Client.ra_issued;
-      let sent = (client_link_stats c).Net.bytes_sent - base in
+      let sent = (client_link_stats t c).Net.bytes_sent - base in
       (* 64 single-block reads ~ 550 KB with framing; 64 clusters would
          be ~7.7 MB on the wire *)
       check_bool
@@ -764,41 +766,51 @@ let test_fleet_write_read_across_servers () =
         ((Nfs.Server.stats svc).Nfs.Server.received > 0))
     t.T.services
 
+(* once per wiring: the extra mount is a new fabric node on each *)
 let test_per_server_congestion_state () =
-  let t = topo ~clients:1 ~servers:2 ~transport:Nfs.Rpc.Adaptive () in
-  let c = t.T.clients.(0) in
-  (* mounts to different servers: independent estimators *)
-  check_bool "different servers, different cstate" false
-    (Nfs.Rpc.shares_cstate c.T.mounts.(0).T.m_rpc c.T.mounts.(1).T.m_rpc);
-  (* a second mount to server 0 shares the first's *)
-  let extra = T.add_mount t c ~server:0 () in
-  check_bool "same server, shared cstate" true
-    (Nfs.Rpc.shares_cstate extra.T.m_rpc c.T.mounts.(0).T.m_rpc);
-  check_bool "the extra mount is its own channel" true
-    (extra.T.m_rpc != c.T.mounts.(0).T.m_rpc);
-  (* traffic through both mounts feeds one window *)
-  let len = 32 * 1024 in
-  T.run t (fun _ ->
-      let f1 = Nfs.Client.create c.T.mount "viaA" in
-      let f2 = Nfs.Client.create extra.T.m_mount "viaB" in
-      let buf = Bytes.init len (fun i -> Helpers.pattern_byte ~seed:9 i) in
-      Nfs.Client.write f1 ~off:0 ~buf ~len;
-      Nfs.Client.write f2 ~off:0 ~buf ~len;
-      Nfs.Client.fsync f1;
-      Nfs.Client.fsync f2);
-  check_bool "both channels made calls" true
-    ((Nfs.Rpc.stats extra.T.m_rpc).Nfs.Rpc.calls > 0
-    && (Nfs.Rpc.stats c.T.rpc).Nfs.Rpc.calls > 0);
-  check_bool "shared window evolved off 2.0" true
-    (Nfs.Rpc.cwnd c.T.rpc > 2.);
-  let eps = 1e-9 in
-  check_bool "both mounts read the same cwnd" true
-    (Float.abs (Nfs.Rpc.cwnd extra.T.m_rpc -. Nfs.Rpc.cwnd c.T.rpc) < eps);
-  check_bool "both mounts read the same srtt" true
-    (Float.abs (Nfs.Rpc.srtt_us extra.T.m_rpc -. Nfs.Rpc.srtt_us c.T.rpc) < eps);
-  (* both files landed on server 0's UFS *)
-  check_bool "file via mount A on server" true (server_contents t "viaA" <> None);
-  check_bool "file via mount B on server" true (server_contents t "viaB" <> None)
+  List.iter
+    (fun topology ->
+      let t =
+        topo ~clients:1 ~servers:2 ~topology ~transport:Nfs.Rpc.Adaptive ()
+      in
+      let c = t.T.clients.(0) in
+      let check_bool what = check_bool (T.kind_name topology ^ ": " ^ what) in
+      (* mounts to different servers: independent estimators *)
+      check_bool "different servers, different cstate" false
+        (Nfs.Rpc.shares_cstate c.T.mounts.(0).T.m_rpc c.T.mounts.(1).T.m_rpc);
+      (* a second mount to server 0 shares the first's *)
+      let extra = T.add_mount t c ~server:0 () in
+      check_bool "same server, shared cstate" true
+        (Nfs.Rpc.shares_cstate extra.T.m_rpc c.T.mounts.(0).T.m_rpc);
+      check_bool "the extra mount is its own channel" true
+        (extra.T.m_rpc != c.T.mounts.(0).T.m_rpc);
+      (* traffic through both mounts feeds one window *)
+      let len = 32 * 1024 in
+      T.run t (fun _ ->
+          let f1 = Nfs.Client.create c.T.mount "viaA" in
+          let f2 = Nfs.Client.create extra.T.m_mount "viaB" in
+          let buf = Bytes.init len (fun i -> Helpers.pattern_byte ~seed:9 i) in
+          Nfs.Client.write f1 ~off:0 ~buf ~len;
+          Nfs.Client.write f2 ~off:0 ~buf ~len;
+          Nfs.Client.fsync f1;
+          Nfs.Client.fsync f2);
+      check_bool "both channels made calls" true
+        ((Nfs.Rpc.stats extra.T.m_rpc).Nfs.Rpc.calls > 0
+        && (Nfs.Rpc.stats c.T.rpc).Nfs.Rpc.calls > 0);
+      check_bool "shared window evolved off 2.0" true
+        (Nfs.Rpc.cwnd c.T.rpc > 2.);
+      let eps = 1e-9 in
+      check_bool "both mounts read the same cwnd" true
+        (Float.abs (Nfs.Rpc.cwnd extra.T.m_rpc -. Nfs.Rpc.cwnd c.T.rpc) < eps);
+      check_bool "both mounts read the same srtt" true
+        (Float.abs (Nfs.Rpc.srtt_us extra.T.m_rpc -. Nfs.Rpc.srtt_us c.T.rpc)
+        < eps);
+      (* both files landed on server 0's UFS *)
+      check_bool "file via mount A on server" true
+        (server_contents t "viaA" <> None);
+      check_bool "file via mount B on server" true
+        (server_contents t "viaB" <> None))
+    [ T.Point_to_point; T.Shared_medium; T.Switched ]
 
 let test_switch_overflow_recovery_under_adaptive () =
   (* a 1-frame output buffer in front of the server: concurrent client
@@ -819,10 +831,8 @@ let test_switch_overflow_recovery_under_adaptive () =
         (Nfs.Client.read f ~off:0 ~buf:rbuf ~len);
       check_bool "contents survive buffer overflow" true
         (Bytes.equal buf rbuf));
-  let sw = match T.switch t with Some sw -> sw | None -> Alcotest.fail "no switch" in
-  let st = Net.Switch.stats sw in
   check_bool "the buffer actually overflowed" true
-    (st.Net.Switch.overflows > 0);
+    (Net.overflows t.T.fabric > 0);
   let retrans =
     Array.fold_left
       (fun acc c -> acc + (Nfs.Rpc.stats c.T.rpc).Nfs.Rpc.retransmits)
